@@ -1,17 +1,28 @@
 """Artinianity, truncation spans, Hilbert functions, socle and type analysis.
 
-An ideal I of R = k[[x1..xn]] is handled through its finite-dimensional
-images in the truncations R/m^(D+1): the image is the span of the products
-x^a * f_j, |a| <= D, cut off above degree D (higher multiplier terms cannot
-reach degrees <= D).  The keystone making pure linear algebra sound in the
-complete local ring is the Nakayama consequence
+An ideal I = (g_1..g_t) of R = k[[x1..xn]] is handled through its images
+span_I(B) in the truncations R/m^(B+1), each held as a reduced row-echelon
+basis of the <=B frame.  One builder produces them all, from two identities:
+
+* Extension.  span_I(B) = span{g_j mod m^(B+1)} + span{x_i * r : r a row of
+  span_I(B-1)}, starting from span_I(0) = 0 (generators are nonunits),
+  because I = span{g_j} + m*I and x_i * f mod m^(B+1) only depends on
+  f mod m^B.  The second set alone is m*I mod m^(B+1), which is how the
+  Nakayama pass for minimal generators reads m*I off the cached span.
+* Projection.  For b < B, span_I(b) is the set of rows of span_I(B) with a
+  pivot inside the <=b frame, cut to that frame: pivots sit at the lowest
+  index, so the other rows vanish there and these stay mutually reduced.
+
+The keystone making pure linear algebra sound in the complete local ring is
+the Nakayama consequence
 
     m^d <= I + m^(d+1)   implies   m^d <= I,
 
-so "every degree-d monomial lies in the degree-d truncation span" certifies
-m^d <= I outright; see the README for the two-line proof sketch.  The quotient
-A = R/I is Artinian exactly when such a d exists, and the least one is
-s + 1 for the socle degree s.
+so "every degree-d monomial lies in the degree-d truncation span", that is
+one pivot per degree-d coordinate, certifies m^d <= I outright; see the
+README for the two-line proof sketch.  The quotient A = R/I is Artinian
+exactly when such a d exists, and the least one is s + 1 for the socle
+degree s.
 
 Non-Artinianity is provable here only in the special case of a variable
 missing from every generator (then A surjects onto a power-series ring in
@@ -32,7 +43,7 @@ from .linalg import (
     kernel_of_vectors,
     poly_to_vector,
     quotient_dim,
-    span_of,
+    vector_to_poly,
 )
 from .poly import Poly, Ring, format_poly
 
@@ -78,23 +89,66 @@ class IdealHandle:
         return f"IdealHandle({len(self.generators)} generators, {self.ring!r})"
 
     def _span_echelon(self, bound: int) -> Echelon:
-        """Echelon of the image of the ideal in R/m^(bound+1)."""
-        ech = self._spans.get(bound)
+        """Echelon of the image of the ideal in R/m^(bound+1).
+
+        Projected from the nearest cached higher bound when there is one,
+        else extended one bound at a time from the nearest cached lower bound
+        (or from the zero span at bound 0); see the module docstring.
+        """
+        spans = self._spans
+        ech = spans.get(bound)
         if ech is not None:
             return ech
         ring = self.ring
-        ech = Echelon()
-        for g in self.generators:
-            o = g.order()
-            if o > bound:
-                continue
-            for t in range(0, bound - o + 1):
-                for mono in ring.monomials_of_degree(t):
-                    prod = g.times_monomial(mono).truncated(bound)
-                    if not prod.is_zero():
-                        ech.insert(poly_to_vector(prod))
-        self._spans[bound] = ech
+        higher = [b for b in spans if b > bound]
+        if higher:
+            ech = _projected(spans[min(higher)], ring.frame_size(bound))
+        else:
+            start = max((b for b in spans if b < bound), default=0)
+            ech = spans.get(start, Echelon())
+            for b in range(start + 1, bound + 1):
+                ech = _times_maximal(ring, ech, b)
+                ech.insert_all(
+                    poly_to_vector(g.truncated(b)) for g in self.generators if g.order() <= b
+                )
+        spans[bound] = ech
         return ech
+
+
+def _projected(ech: Echelon, size: int) -> Echelon:
+    """The reduced echelon of the first ``size`` coordinates of ech's span.
+
+    Rows with a pivot at or past ``size`` vanish there; the others keep their
+    pivots and stay mutually reduced, so no elimination is needed.
+    """
+    out = Echelon()
+    out.rows = {
+        p: {k: v for k, v in row.items() if k < size}
+        for p, row in ech.rows.items()
+        if p < size
+    }
+    return out
+
+
+def _shift_tables(ring: Ring, bound: int) -> list[list[int]]:
+    """up[i][k] is the index of x_(i+1) times monomial k, for k in the <=bound frame."""
+    index = ring.index_of
+    return [
+        [index(m[:i] + (m[i] + 1,) + m[i + 1:]) for m in ring.monomials_upto(bound)]
+        for i in range(ring.nvars)
+    ]
+
+
+def _times_maximal(ring: Ring, ech: Echelon, bound: int) -> Echelon:
+    """m times the span of ``ech`` (in the <=bound-1 frame), mod m^(bound+1)."""
+    shifts = _shift_tables(ring, bound - 1)
+    vecs = [{up[k]: c for k, c in row.items()} for row in ech.rows.values() for up in shifts]
+    # highest leads first: each new pivot then lies below every stored row,
+    # which saves most of the back-substitution
+    vecs.sort(key=min, reverse=True)
+    out = Echelon()
+    out.insert_all(vecs)
+    return out
 
 
 def truncation_span(ideal: IdealHandle, bound: int) -> SubspaceBasis:
@@ -109,19 +163,19 @@ def truncation_span(ideal: IdealHandle, bound: int) -> SubspaceBasis:
 def contains_power_of_maximal(ideal: IdealHandle, d: int) -> bool:
     """True iff m^d is contained in the ideal.
 
-    Checks membership of every degree-d monomial in the degree-d truncation
-    span; by the Nakayama consequence above this decides m^d <= I exactly.
+    The degree-d truncation span holds every degree-d monomial iff its
+    echelon has one pivot per degree-d coordinate: a row pivoting there has
+    no lower entries.  By the Nakayama consequence above this decides
+    m^d <= I exactly.
     """
     if d > ideal.ring.max_degree_cap:
         raise DegreeCapError(f"degree {d} exceeds cap {ideal.ring.max_degree_cap}")
     if d < 1:
         return False
     ring = ideal.ring
-    ech = ideal._span_echelon(d)
-    for mono in ring.monomials_of_degree(d):
-        if not ech.contains({ring.index_of(mono): ring.field.one}):
-            return False
-    return True
+    low = ring.frame_size(d - 1)
+    top = sum(1 for p in ideal._span_echelon(d).rows if p >= low)
+    return top == ring.frame_size(d) - low
 
 
 def analyze_artin(ideal: IdealHandle) -> ArtinStatus:
@@ -174,33 +228,27 @@ def hilbert(ideal: IdealHandle) -> list[int]:
     return dims
 
 
-def _colon_maximal_subspace(ideal: IdealHandle, s: int) -> list[Poly]:
-    """Basis of {f in R_<=s : x_i * f in I for all i}, solved mod m^(s+2).
+def _colon_maximal_subspace(ideal: IdealHandle, s: int) -> Echelon:
+    """Reduced echelon of {f in R_<=s : x_i * f in I for all i}, mod m^(s+2).
 
     Together with m^(s+1) this set is exactly the colon ideal (I : m): the
     part of f above degree s is automatically in (I : m), and for the rest
-    membership of x_i * f in I only depends on its class mod m^(s+2).
+    membership of x_i * f in I only depends on its class mod m^(s+2).  The
+    unknowns are the <=s frame in canonical order, so the kernel's reduced
+    rows are the colon ideal's truncation span at bound s.
     """
     ring = ideal.ring
     big = ideal._span_echelon(s + 1)
     m1 = ring.frame_size(s + 1)
+    shifts = _shift_tables(ring, s)
     vectors = []
-    for mono in ring.monomials_upto(s):
+    for k in range(ring.frame_size(s)):
         combined = {}
-        base = Poly.monomial(ring, mono)
-        for i in range(ring.nvars):
-            shifted = base.times_monomial(
-                tuple(1 if k == i else 0 for k in range(ring.nvars))
-            )
-            residue = big.reduce(poly_to_vector(shifted))
-            for idx, c in residue.items():
+        for i, up in enumerate(shifts):
+            for idx, c in big.reduce({up[k]: ring.field.one}).items():
                 combined[i * m1 + idx] = c
         vectors.append(combined)
-    kernel = kernel_of_vectors(vectors, ring.nvars * m1, ring.field.one)
-    monos = ring.monomials_upto(s)
-    return [
-        Poly(ring, {monos[k]: c for k, c in vec.items()}) for vec in kernel
-    ]
+    return Echelon.from_reduced(kernel_of_vectors(vectors, ring.nvars * m1, ring.field.one))
 
 
 def socle_ideal(ideal: IdealHandle) -> list[Poly]:
@@ -213,9 +261,8 @@ def socle_ideal(ideal: IdealHandle) -> list[Poly]:
     ring = ideal.ring
     if s == 0:
         return [Poly.one(ring)]
-    gens = _colon_maximal_subspace(ideal, s)
-    gens += [Poly.monomial(ring, m) for m in ring.monomials_of_degree(s + 1)]
-    return ideal_min_gens(IdealHandle(ring, gens))
+    # the colon ideal has socle degree s - 1
+    return minimal_ideal(ring, _colon_maximal_subspace(ideal, s), s, s - 1).generators
 
 
 def cm_type(ideal: IdealHandle) -> int:
@@ -226,7 +273,7 @@ def cm_type(ideal: IdealHandle) -> int:
     s = status.socle_degree
     ring = ideal.ring
     frame = Frame(ring, s)
-    colon = span_of(_colon_maximal_subspace(ideal, s), frame)
+    colon = SubspaceBasis(frame, _colon_maximal_subspace(ideal, s))
     image = SubspaceBasis(frame, ideal._span_echelon(s))
     return quotient_dim(colon, image)
 
@@ -248,21 +295,12 @@ def is_level(ideal: IdealHandle) -> int:
         return -2
     s = status.socle_degree
     ring = ideal.ring
-    # both sides contain m^(s+1), so images mod m^(s+2) decide equality
-    colon = Echelon()
-    if s == 0:
-        colon.insert(poly_to_vector(Poly.one(ring)))
-    else:
-        colon.insert_all(
-            poly_to_vector(p) for p in _colon_maximal_subspace(ideal, s)
-        )
-    for mono in ring.monomials_of_degree(s + 1):
-        colon.insert({ring.index_of(mono): ring.field.one})
-    other = ideal._span_echelon(s + 1).copy()
-    for d in (s, s + 1):
-        for mono in ring.monomials_of_degree(d):
-            other.insert({ring.index_of(mono): ring.field.one})
-    return s if colon == other else -1
+    # both sides contain m^(s+1), so their truncation spans at s decide it
+    other = ideal._span_echelon(s).copy()
+    other.insert_all(
+        {k: ring.field.one} for k in range(ring.frame_size(s - 1), ring.frame_size(s))
+    )
+    return s if _colon_maximal_subspace(ideal, s) == other else -1
 
 
 def eq_ideal(a: IdealHandle, b: IdealHandle) -> bool:
@@ -289,16 +327,9 @@ def ideal_min_gens(ideal: IdealHandle) -> list[Poly]:
     selection is deterministic and independent of input order.
     """
     s = require_artin(ideal)
-    ring = ideal.ring
     bound = s + 1
-    ech = Echelon()
-    for g in ideal.generators:
-        o = g.order()
-        for t in range(1, bound - o + 1):
-            for mono in ring.monomials_of_degree(t):
-                prod = g.times_monomial(mono).truncated(bound)
-                if not prod.is_zero():
-                    ech.insert(poly_to_vector(prod))
+    # m*I mod m^(s+2) is spanned by the x_i-shifts of the cached span at s
+    ech = _times_maximal(ideal.ring, ideal._span_echelon(s), bound)
 
     def sort_key(g: Poly):
         lead = g.homogeneous_component(g.order())
@@ -310,3 +341,20 @@ def ideal_min_gens(ideal: IdealHandle) -> list[Poly]:
         if ech.insert(vec) is not None:
             selected.append(g)
     return selected
+
+
+def minimal_ideal(ring: Ring, span: Echelon, bound: int, socle_degree: int) -> IdealHandle:
+    """The Artin ideal J = (rows of ``span``) + m^(bound+1), minimally generated.
+
+    ``span`` is J's truncation span at ``bound`` and ``socle_degree`` <= bound
+    is known, so both are seeded into the caches and no Artinianity search
+    runs.  Candidates are the rows, then the degree bound+1 monomials.
+    """
+    gens = [vector_to_poly(ring, row) for row in span.sorted_rows()]
+    gens += [Poly.monomial(ring, m) for m in ring.monomials_of_degree(bound + 1)]
+    full = IdealHandle(ring, gens)
+    full._spans[bound] = span
+    full._status = ArtinStatus(True, socle_degree, proven=True, cap=ring.max_degree_cap)
+    out = IdealHandle(ring, ideal_min_gens(full))
+    out._spans, out._status = full._spans, full._status
+    return out

@@ -74,7 +74,14 @@ _ACTION_ALIASES = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse flavor whose usage failures exit with code 1, not 2."""
+    """argparse flavor whose usage failures exit with code 1, not 2, and
+    which reads a single-dash word other than -h as an operand, so negative
+    polynomials and rationals need no "--" or "=" (every other flag is long)."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] not in ("", "-") and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -82,9 +89,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_ring_flags(sub, need_vars=True):
-    if need_vars:
-        sub.add_argument("--vars", type=int, required=True, help="number of variables")
+def _add_ring_flags(sub):
+    sub.add_argument("--vars", type=int, required=True, help="number of variables")
     sub.add_argument("--char", type=int, default=0, help="characteristic (0 or prime)")
     sub.add_argument(
         "--action",
@@ -98,43 +104,47 @@ def _add_ring_flags(sub, need_vars=True):
         default=64,
         help="degree cap for Artinianity searches (default 64)",
     )
-    sub.add_argument(
-        "--format",
-        choices=["text", "json"],
-        default="text",
-        help="output mode (default text)",
-    )
+    _add_format(sub, help="output mode (default text)")
+
+
+def _add_format(sub, **kw):
+    sub.add_argument("--format", choices=["text", "json"], default="text", **kw)
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="invsys", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help_text, inputs=0, need_vars=True, extra=None):
+    def cmd(name, help_text, handler, inputs=0, ring=True, extra=None):
         sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(handler=handler)
         for k in range(inputs):
             sub.add_argument(
                 f"input{k + 1}" if inputs > 1 else "input",
                 help="generators: inline text, a file path, or - for stdin",
             )
-        _add_ring_flags(sub, need_vars=need_vars)
+        if ring:
+            _add_ring_flags(sub)
         if extra:
             extra(sub)
+        if not ring:
+            _add_format(sub)
         return sub
 
-    cmd("is-ag", "-2 not Artin / -1 not Gorenstein / socle degree", inputs=1)
-    cmd("is-level", "-2 not Artin / -1 not level / socle degree", inputs=1)
-    cmd("cm-type", "Cohen-Macaulay type, -1 if not Artin", inputs=1)
-    cmd("socle", "minimal generators of the colon ideal (I : m)", inputs=1)
-    cmd("hilbert", "Hilbert function of R/I", inputs=1)
-    cmd("inv-syst", "minimal generators of the inverse system of an Artin ideal", inputs=1)
-    cmd("ideal-ann", "minimal generators of the annihilator ideal of a submodule of S", inputs=1)
-    cmd("min-gens-ih", "minimal generators of a submodule of S", inputs=1)
-    cmd("eq-ideal", "1 if the two Artin ideals are equal, else 0", inputs=2)
-    cmd("member-ih", "1 if the polynomial (first input) lies in the submodule (second input)", inputs=2)
-    cmd("sub-mod-ih", "1 if the first submodule is contained in the second", inputs=2)
-    cmd("eq-mod-ih", "1 if the two submodules are equal, else 0", inputs=2)
-    cmd("colon", "h with h o f = g for single polynomials f, g; prints 0 if none", inputs=2)
+    cmd("is-ag", "-2 not Artin / -1 not Gorenstein / socle degree", _run_classifier, 1)
+    cmd("is-level", "-2 not Artin / -1 not level / socle degree", _run_classifier, 1)
+    cmd("cm-type", "Cohen-Macaulay type, -1 if not Artin", _run_classifier, 1)
+    cmd("socle", "minimal generators of the colon ideal (I : m)", _run_socle, 1)
+    cmd("hilbert", "Hilbert function of R/I", _run_hilbert, 1)
+    cmd("inv-syst", "minimal generators of the inverse system of an Artin ideal", _run_inv_syst, 1)
+    cmd("ideal-ann", "minimal generators of the annihilator ideal of a submodule of S", _run_ideal_ann, 1)
+    cmd("min-gens-ih", "minimal generators of a submodule of S", _run_min_gens, 1)
+    cmd("eq-ideal", "1 if the two Artin ideals are equal, else 0", _run_eq_ideal, 2)
+    cmd("member-ih", "1 if the polynomial (first input) lies in the submodule (second input)",
+        _run_module_predicate, 2)
+    cmd("sub-mod-ih", "1 if the first submodule is contained in the second", _run_module_predicate, 2)
+    cmd("eq-mod-ih", "1 if the two submodules are equal, else 0", _run_module_predicate, 2)
+    cmd("colon", "h with h o f = g for single polynomials f, g; prints 0 if none", _run_colon, 2)
 
     def genpol_extra(sub):
         sub.add_argument("--deg-min", type=int, required=True)
@@ -142,25 +152,23 @@ def _build_parser() -> _Parser:
         sub.add_argument("--bound", type=int, required=True, help="coefficients drawn from [-bound, bound]")
         sub.add_argument("--seed", type=int, default=0)
 
-    cmd("gen-pol", "reproducible random polynomial", inputs=0, extra=genpol_extra)
+    cmd("gen-pol", "reproducible random polynomial", _run_gen_pol, extra=genpol_extra)
 
     def j_extra(sub):
         sub.add_argument("--j", type=Fraction, required=True, help="rational j value, e.g. 5 or 6912/31")
 
-    w = subs.add_parser("weierstrass-j", help="cubic with the given j moduli")
-    j_extra(w)
-    w.add_argument("--format", choices=["text", "json"], default="text")
-    q = subs.add_parser("ideal-wj", help="quadric ideal whose inverse system is the j-moduli cubic")
-    j_extra(q)
-    q.add_argument("--format", choices=["text", "json"], default="text")
+    def verify_extra(sub):
+        sub.add_argument("--j", type=Fraction, default=Fraction(2), help="modulus for the generic elliptic row")
 
-    v = subs.add_parser("verify-classification", help="machine-check the eight {1,3,3,1} table rows")
-    v.add_argument("--j", type=Fraction, default=Fraction(2), help="modulus for the generic elliptic row")
-    v.add_argument("--format", choices=["text", "json"], default="text")
+    def replay_extra(sub):
+        sub.add_argument("--dir", default=None, help="fixture directory (default: the shipped fixtures)")
 
-    rp = subs.add_parser("replay-fixtures", help="re-run the recorded session fixtures")
-    rp.add_argument("--dir", default=None, help="fixture directory (default: the shipped fixtures)")
-    rp.add_argument("--format", choices=["text", "json"], default="text")
+    cmd("weierstrass-j", "cubic with the given j moduli", _run_weierstrass, ring=False, extra=j_extra)
+    cmd("ideal-wj", "quadric ideal whose inverse system is the j-moduli cubic", _run_ideal_wj,
+        ring=False, extra=j_extra)
+    cmd("verify-classification", "machine-check the eight {1,3,3,1} table rows", _run_verify_classification,
+        ring=False, extra=verify_extra)
+    cmd("replay-fixtures", "re-run the recorded session fixtures", _run_replay, ring=False, extra=replay_extra)
     return parser
 
 
@@ -231,8 +239,11 @@ def _emit(args, ring_desc, action, result, diagnostics, text_lines) -> None:
             print(line)
 
 
-def _gen_lines(polys) -> list[str]:
-    return [f"g[{k + 1}]={format_poly(g)}" for k, g in enumerate(polys)]
+def _emit_gens(args, ring_desc, action, gens, diagnostics) -> int:
+    result = {"generators": [format_poly(g) for g in gens]}
+    lines = [f"g[{k + 1}]={text}" for k, text in enumerate(result["generators"])]
+    _emit(args, ring_desc, action, result, diagnostics, lines)
+    return EXIT_OK
 
 
 def _artin_diagnostics(ideal: IdealHandle) -> dict:
@@ -284,23 +295,15 @@ def _run_socle(args) -> int:
         _emit(args, _ring_desc(ring), None, -1, _artin_diagnostics(ideal), ["-1"])
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION if exc.proven else EXIT_INCONCLUSIVE
-    result = {"generators": [format_poly(g) for g in gens]}
-    _emit(args, _ring_desc(ring), None, result, _artin_diagnostics(ideal), _gen_lines(gens))
-    return EXIT_OK
+    return _emit_gens(args, _ring_desc(ring), None, gens, _artin_diagnostics(ideal))
 
 
 def _run_hilbert(args) -> int:
     ring = _make_ring(args)
     ideal = IdealHandle(ring, _parse_gens(args.input, ring))
     values = hilbert(ideal)
-    _emit(
-        args,
-        _ring_desc(ring),
-        None,
-        {"values": values},
-        _artin_diagnostics(ideal),
-        [",".join(str(v) for v in values)],
-    )
+    text = ",".join(str(v) for v in values)
+    _emit(args, _ring_desc(ring), None, {"values": values}, _artin_diagnostics(ideal), [text])
     return EXIT_OK
 
 
@@ -308,34 +311,24 @@ def _run_inv_syst(args) -> int:
     ring = _make_ring(args)
     ideal = IdealHandle(ring, _parse_gens(args.input, ring))
     module = inv_syst(ideal, ring.default_action)
-    result = {"generators": [format_poly(g) for g in module.generators]}
-    _emit(
-        args,
-        _ring_desc(ring),
-        ring.default_action,
-        result,
-        _artin_diagnostics(ideal),
-        _gen_lines(module.generators),
+    return _emit_gens(
+        args, _ring_desc(ring), ring.default_action, module.generators, _artin_diagnostics(ideal)
     )
-    return EXIT_OK
 
 
 def _run_ideal_ann(args) -> int:
     ring = _make_ring(args)
     module = SubmoduleHandle(ring, _parse_gens(args.input, ring), ring.default_action)
     ann = ideal_ann(module)
-    result = {"generators": [format_poly(g) for g in ann.generators]}
-    _emit(args, _ring_desc(ring), ring.default_action, result, _artin_diagnostics(ann), _gen_lines(ann.generators))
-    return EXIT_OK
+    return _emit_gens(
+        args, _ring_desc(ring), ring.default_action, ann.generators, _artin_diagnostics(ann)
+    )
 
 
 def _run_min_gens(args) -> int:
     ring = _make_ring(args)
     module = SubmoduleHandle(ring, _parse_gens(args.input, ring), ring.default_action)
-    gens = min_gens_ih(module)
-    result = {"generators": [format_poly(g) for g in gens]}
-    _emit(args, _ring_desc(ring), ring.default_action, result, {}, _gen_lines(gens))
-    return EXIT_OK
+    return _emit_gens(args, _ring_desc(ring), ring.default_action, min_gens_ih(module), {})
 
 
 def _run_eq_ideal(args) -> int:
@@ -375,15 +368,8 @@ def _run_colon(args) -> int:
 
 def _run_gen_pol(args) -> int:
     ring = _make_ring(args)
-    p = gen_pol(ring, args.deg_min, args.deg_max, args.bound, args.seed)
-    _emit(
-        args,
-        _ring_desc(ring),
-        None,
-        {"poly": format_poly(p)},
-        {"seed": args.seed},
-        [format_poly(p)],
-    )
+    text = format_poly(gen_pol(ring, args.deg_min, args.deg_max, args.bound, args.seed))
+    _emit(args, _ring_desc(ring), None, {"poly": text}, {"seed": args.seed}, [text])
     return EXIT_OK
 
 
@@ -394,10 +380,8 @@ def _run_weierstrass(args) -> int:
 
 
 def _run_ideal_wj(args) -> int:
-    ideal = ideal_wj(args.j)
-    result = {"generators": [format_poly(g) for g in ideal.generators]}
-    _emit(args, {"vars": 3, "char": 0}, None, result, {"j": str(args.j)}, _gen_lines(ideal.generators))
-    return EXIT_OK
+    gens = ideal_wj(args.j).generators
+    return _emit_gens(args, {"vars": 3, "char": 0}, None, gens, {"j": str(args.j)})
 
 
 def _run_verify_classification(args) -> int:
@@ -435,28 +419,6 @@ def _run_replay(args) -> int:
     return EXIT_OK if all_passed else EXIT_PRECONDITION
 
 
-_HANDLERS = {
-    "is-ag": _run_classifier,
-    "is-level": _run_classifier,
-    "cm-type": _run_classifier,
-    "socle": _run_socle,
-    "hilbert": _run_hilbert,
-    "inv-syst": _run_inv_syst,
-    "ideal-ann": _run_ideal_ann,
-    "min-gens-ih": _run_min_gens,
-    "eq-ideal": _run_eq_ideal,
-    "member-ih": _run_module_predicate,
-    "sub-mod-ih": _run_module_predicate,
-    "eq-mod-ih": _run_module_predicate,
-    "colon": _run_colon,
-    "gen-pol": _run_gen_pol,
-    "weierstrass-j": _run_weierstrass,
-    "ideal-wj": _run_ideal_wj,
-    "verify-classification": _run_verify_classification,
-    "replay-fixtures": _run_replay,
-}
-
-
 def run(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -464,7 +426,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .artin import IdealHandle, ArtinStatus, ideal_min_gens, require_artin
+from .artin import IdealHandle, minimal_ideal, require_artin
+from .errors import VerificationError
 from .linalg import (
     Echelon,
     Frame,
@@ -198,26 +199,12 @@ def ideal_ann(module: SubmoduleHandle) -> IdealHandle:
             for m, c in h.terms.items():
                 combined[j * m1 + ring.index_of(m)] = c
         vectors.append(combined)
-    kernel = kernel_of_vectors(vectors, len(gens) * m1, ring.field.one)
-    out_gens = [
-        Poly(ring, {unknowns[k]: c for k, c in vec.items()}) for vec in kernel
-    ]
-    out_gens += [Poly.monomial(ring, m) for m in ring.monomials_of_degree(d + 1)]
-    ann = IdealHandle(ring, ideal_min_gens_of(ring, out_gens, d))
-    # socle degree of R/M^perp is exactly the module's top generator degree
-    ann._status = ArtinStatus(
-        artin=True, socle_degree=d, proven=True, cap=ring.max_degree_cap
+    kernel = Echelon.from_reduced(
+        kernel_of_vectors(vectors, len(gens) * m1, ring.field.one)
     )
-    return ann
-
-
-def ideal_min_gens_of(ring: Ring, gens: list[Poly], socle_degree: int) -> list[Poly]:
-    """ideal_min_gens for a generator list whose socle degree is already known."""
-    handle = IdealHandle(ring, gens)
-    handle._status = ArtinStatus(
-        artin=True, socle_degree=socle_degree, proven=True, cap=ring.max_degree_cap
-    )
-    return ideal_min_gens(handle)
+    # the unknowns are the <=d frame, so the kernel is the ideal's span at d;
+    # the socle degree of R/M^perp is exactly the module's top generator degree
+    return minimal_ideal(ring, kernel, d, d)
 
 
 def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[Poly]:
@@ -249,7 +236,8 @@ def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[P
     if sol is None:
         return None
     h = Poly(ring, {unknowns[k]: c for k, c in sol.items()})
-    assert apply_action(action, h, f) == g
+    if apply_action(action, h, f) != g:
+        raise VerificationError("colon solution fails the check h o f = g")
     return h
 
 

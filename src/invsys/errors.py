@@ -37,5 +37,9 @@ class NotArtinError(InvSysError):
         self.proven = proven
 
 
+class VerificationError(InvSysError):
+    """A computed answer failed its exact re-check: an internal fault."""
+
+
 class SingularCurveError(InvSysError):
     """Weierstrass data with vanishing discriminant guard 4a^3 + 27b^2."""

@@ -45,6 +45,13 @@ class Echelon:
     def __init__(self):
         self.rows: dict[int, Vector] = {}
 
+    @classmethod
+    def from_reduced(cls, rows: Iterable[Vector]) -> "Echelon":
+        """Wrap rows that already form a reduced echelon basis (unit pivots)."""
+        ech = cls()
+        ech.rows = {min(row): row for row in rows}
+        return ech
+
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -218,6 +225,16 @@ def quotient_dim(u: SubspaceBasis, v: SubspaceBasis) -> int:
     return sum_space(u, v).dim - v.dim
 
 
+def _tracked(vectors: Sequence[Vector], width: int, one: Scalar) -> Echelon:
+    """Echelon of the vectors, each tagged with a tracker coordinate width + k."""
+    ech = Echelon()
+    for k, v in enumerate(vectors):
+        w = dict(v)
+        w[width + k] = one
+        ech.insert(w)
+    return ech
+
+
 def kernel_of_vectors(vectors: Sequence[Vector], width: int, one: Scalar) -> list[Vector]:
     """Reduced basis of {c : sum_k c_k * vectors[k] = 0}.
 
@@ -226,16 +243,10 @@ def kernel_of_vectors(vectors: Sequence[Vector], width: int, one: Scalar) -> lis
     is the field unit.  Kernel vectors come out keyed by position k, already
     in reduced echelon form.
     """
-    ech = Echelon()
-    for k, v in enumerate(vectors):
-        w = dict(v)
-        w[width + k] = one
-        ech.insert(w)
-    kernel = []
-    for p in sorted(ech.rows):
-        if p >= width:
-            kernel.append({k - width: c for k, c in ech.rows[p].items()})
-    return kernel
+    ech = _tracked(vectors, width, one)
+    return [
+        {k - width: c for k, c in ech.rows[p].items()} for p in sorted(ech.rows) if p >= width
+    ]
 
 
 def solve_combination(
@@ -247,12 +258,7 @@ def solve_combination(
     in order, so the returned combination is canonical for a given input
     order.  Keys of the result are positions into ``vectors``.
     """
-    ech = Echelon()
-    for k, v in enumerate(vectors):
-        w = dict(v)
-        w[width + k] = one
-        ech.insert(w)
-    res = ech.reduce(dict(target))
+    res = _tracked(vectors, width, one).reduce(dict(target))
     if any(k < width for k in res):
         return None
     return {k - width: -c for k, c in res.items()}

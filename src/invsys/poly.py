@@ -326,12 +326,6 @@ class Poly:
         """Drop every term of total degree > ``degree``."""
         return Poly(self.ring, {m: c for m, c in self.terms.items() if sum(m) <= degree})
 
-    def times_monomial(self, mono: Monomial) -> "Poly":
-        return Poly(
-            self.ring,
-            {tuple(a + b for a, b in zip(m, mono)): c for m, c in self.terms.items()},
-        )
-
     def scaled(self, c) -> "Poly":
         c = self.ring.field.coerce(c)
         if not c:
@@ -417,21 +411,7 @@ def apply_cont(f: Poly, g: Poly) -> Poly:
     >>> format_poly(apply_cont(parse_poly("x1^2", r), g))
     'x3^4'
     """
-    f._check_same_ring(g)
-    ring = f.ring
-    out: dict[Monomial, Scalar] = {}
-    for ma, ca in f.terms.items():
-        for mb, cb in g.terms.items():
-            if all(b >= a for a, b in zip(ma, mb)):
-                m = tuple(b - a for a, b in zip(ma, mb))
-                s = out.get(m)
-                p = ca * cb
-                s = p if s is None else s + p
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-    return Poly(ring, out)
+    return _apply(f, g, weighted=False)
 
 
 def apply_der(f: Poly, g: Poly) -> Poly:
@@ -445,27 +425,33 @@ def apply_der(f: Poly, g: Poly) -> Poly:
     >>> format_poly(apply_der(parse_poly("x1^2", r), g))
     '2*x3^4'
     """
+    return _apply(f, g, weighted=True)
+
+
+def _apply(f: Poly, g: Poly, weighted: bool) -> Poly:
+    """Bilinear x^a o x^b = w * x^(b-a) for b >= a, else 0; w = b!/(b-a)! or 1."""
     f._check_same_ring(g)
-    ring = f.ring
-    if ring.char != 0:
+    if weighted and f.ring.char != 0:
         raise CharacteristicError("derivation action requires characteristic 0")
     out: dict[Monomial, Scalar] = {}
     for ma, ca in f.terms.items():
         for mb, cb in g.terms.items():
             if all(b >= a for a, b in zip(ma, mb)):
-                factor = 1
-                for a, b in zip(ma, mb):
-                    if a:
-                        factor *= math.perm(b, a)
+                p = ca * cb
+                if weighted:
+                    factor = 1
+                    for a, b in zip(ma, mb):
+                        if a:
+                            factor *= math.perm(b, a)
+                    p = p * factor
                 m = tuple(b - a for a, b in zip(ma, mb))
                 s = out.get(m)
-                p = ca * cb * factor
                 s = p if s is None else s + p
                 if s:
                     out[m] = s
                 else:
                     out.pop(m, None)
-    return Poly(ring, out)
+    return Poly(f.ring, out)
 
 
 def apply_action(action: str, f: Poly, g: Poly) -> Poly:

@@ -134,6 +134,29 @@ def test_usage_error_exit_code(capsys):
     assert invoke(capsys, "is-ag")[0] == 1  # missing --vars and input
 
 
+def test_operand_with_leading_minus(capsys):
+    negative = "-x1^3-3*x2^3+x3^3"
+    code, out, _ = invoke(capsys, "ideal-ann", "--vars", "3", negative)
+    assert code == 0
+    assert invoke(capsys, "ideal-ann", "--vars", "3", "--", negative) == (0, out, "")
+    code, out, _ = invoke(capsys, "is-ag", "-x1^2, -x2^2, x3^2", "--vars", "3")
+    assert (code, out) == (0, "3\n")
+
+
+def test_negative_rational_flag_value(capsys):
+    code, out, _ = invoke(capsys, "ideal-wj", "--j", "-25/3")
+    assert code == 0
+    assert invoke(capsys, "ideal-wj", "--j=-25/3") == (0, out, "")
+
+
+def test_usage_errors_with_leading_minus_operand(capsys):
+    code, _, err = invoke(capsys, "ideal-ann", "-x1^5-3*x1^4*x3")
+    assert code == 1
+    assert "--vars" in err
+    assert invoke(capsys, "is-ag", "--vars", "3", "-x1^2", "--bogus")[0] == 1
+    assert invoke(capsys, "-x1")[0] == 1
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = invoke(capsys, "is-ag", "--vars", "3", "x1^2+")
     assert code == 2

@@ -412,3 +412,49 @@ def test_sigma_transport_preserves_annihilator(r3):
         m_der = SubmoduleHandle(r3, gens, DER)
         m_cont = SubmoduleHandle(r3, [sigma(g) for g in gens], CONT)
         assert eq_ideal(ideal_ann(m_der), ideal_ann(m_cont))
+
+
+def _colon_with_wrong_recheck(monkeypatch, ring):
+    """colon_inv_syst on a multi-term solution, with the action wrong on h o f."""
+    import invsys.duality as duality
+
+    real = duality.apply_action
+
+    def wrong_on_recheck(action, h, f):
+        out = real(action, h, f)
+        # the solver only applies monomials; the re-check applies the solution
+        return out + P(ring, "x1") if len(h.terms) > 1 else out
+
+    monkeypatch.setattr(duality, "apply_action", wrong_on_recheck)
+    return colon_inv_syst(P(ring, "x1^2*x2+x2^3"), P(ring, "x1^2+2*x1*x2+3*x2^2"), DER)
+
+
+def test_colon_wrong_answer_raises(monkeypatch, r3):
+    from invsys import VerificationError
+
+    h = colon_inv_syst(P(r3, "x1^2*x2+x2^3"), P(r3, "x1^2+2*x1*x2+3*x2^2"), DER)
+    assert len(h.terms) > 1
+    with pytest.raises(VerificationError):
+        _colon_with_wrong_recheck(monkeypatch, r3)
+
+
+def test_colon_wrong_answer_raises_under_python_O(tmp_path):
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tests = Path(__file__).resolve().parent
+    script = tmp_path / "check.py"
+    script.write_text(
+        "import pytest\n"
+        "from invsys import Ring, VerificationError\n"
+        "from test_duality import _colon_with_wrong_recheck\n"
+        "mp = pytest.MonkeyPatch()\n"
+        "try:\n"
+        "    _colon_with_wrong_recheck(mp, Ring(3))\n"
+        "except VerificationError:\n"
+        "    print('raised', __debug__)\n"
+    )
+    env = {"PYTHONPATH": f"{tests.parent / 'src'}:{tests}", "PATH": ""}
+    out = subprocess.run([sys.executable, "-O", str(script)], capture_output=True, text=True, env=env)
+    assert out.stdout == "raised False\n", out.stderr
