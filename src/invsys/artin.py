@@ -28,6 +28,13 @@ Non-Artinianity is provable here only in the special case of a variable
 missing from every generator (then A surjects onto a power-series ring in
 that variable); otherwise the search stops at the ring's degree cap and the
 verdict is the inconclusive "not Artinian within cap".
+
+Socle, type and level are read on the dual side, under contraction.  The
+identity (I : m)^perp = m o I^perp holds because f kills m o I^perp iff
+every x_i * f kills I^perp.  So the type is dim I^perp - dim m o I^perp; A
+is level iff m o I^perp fills I^perp cap S_<=s-1, the perp of span_I(s-1);
+and the span of (I : m) at s - 1 is the perp of m o I^perp.
+``maximal_action`` forms m o V from index tables, under either action.
 """
 
 from __future__ import annotations
@@ -40,12 +47,12 @@ from .linalg import (
     Echelon,
     Frame,
     SubspaceBasis,
-    kernel_of_vectors,
+    kernel_of_vectors,  # noqa: F401  unused; the benchmark's tracer looks it up here
+    perp_space,
     poly_to_vector,
-    quotient_dim,
     vector_to_poly,
 )
-from .poly import Poly, Ring, format_poly
+from .poly import CONT, DER, Poly, Ring, format_poly
 
 
 @dataclass(frozen=True)
@@ -151,6 +158,33 @@ def _times_maximal(ring: Ring, ech: Echelon, bound: int) -> Echelon:
     return out
 
 
+def maximal_action(ring: Ring, ech: Echelon, bound: int, action: str) -> Echelon:
+    """Echelon of m o span(ech), for ``ech`` in the <=bound frame of S.
+
+    x_i o x^(a+e_i) = w * x^a with w = a_i + 1 under differentiation and 1
+    under contraction, so the inverted shift tables of the <=bound-1 frame
+    carry each row r to x_i o r.
+    """
+    monos = ring.monomials_upto(bound - 1)
+    weighted = action == DER
+    vecs = []
+    for i, up in enumerate(_shift_tables(ring, bound - 1)):
+        down = {j: (k, monos[k][i] + 1) for k, j in enumerate(up)}
+        for row in ech.rows.values():
+            vec = {}
+            for j, c in row.items():
+                if j in down:
+                    k, w = down[j]
+                    vec[k] = c * w if weighted else c
+            if vec:
+                vecs.append(vec)
+    # lowest highest index first: measured fastest for these shifts
+    vecs.sort(key=max)
+    out = Echelon()
+    out.insert_all(vecs)
+    return out
+
+
 def truncation_span(ideal: IdealHandle, bound: int) -> SubspaceBasis:
     """Image of the ideal in R/m^(bound+1), as a subspace of the <=bound frame."""
     if bound > ideal.ring.max_degree_cap:
@@ -228,27 +262,11 @@ def hilbert(ideal: IdealHandle) -> list[int]:
     return dims
 
 
-def _colon_maximal_subspace(ideal: IdealHandle, s: int) -> Echelon:
-    """Reduced echelon of {f in R_<=s : x_i * f in I for all i}, mod m^(s+2).
-
-    Together with m^(s+1) this set is exactly the colon ideal (I : m): the
-    part of f above degree s is automatically in (I : m), and for the rest
-    membership of x_i * f in I only depends on its class mod m^(s+2).  The
-    unknowns are the <=s frame in canonical order, so the kernel's reduced
-    rows are the colon ideal's truncation span at bound s.
-    """
+def _colon_dual(ideal: IdealHandle, s: int) -> Echelon:
+    """(I : m)^perp = m o I^perp under contraction, in the <=s-1 frame."""
     ring = ideal.ring
-    big = ideal._span_echelon(s + 1)
-    m1 = ring.frame_size(s + 1)
-    shifts = _shift_tables(ring, s)
-    vectors = []
-    for k in range(ring.frame_size(s)):
-        combined = {}
-        for i, up in enumerate(shifts):
-            for idx, c in big.reduce({up[k]: ring.field.one}).items():
-                combined[i * m1 + idx] = c
-        vectors.append(combined)
-    return Echelon.from_reduced(kernel_of_vectors(vectors, ring.nvars * m1, ring.field.one))
+    dual = perp_space(SubspaceBasis(Frame(ring, s), ideal._span_echelon(s)), CONT)
+    return maximal_action(ring, dual.echelon, s, CONT)
 
 
 def socle_ideal(ideal: IdealHandle) -> list[Poly]:
@@ -261,8 +279,9 @@ def socle_ideal(ideal: IdealHandle) -> list[Poly]:
     ring = ideal.ring
     if s == 0:
         return [Poly.one(ring)]
-    # the colon ideal has socle degree s - 1
-    return minimal_ideal(ring, _colon_maximal_subspace(ideal, s), s, s - 1).generators
+    # (I : m)^perp lies in the <=s-1 frame: (I : m) has socle degree s - 1
+    colon = perp_space(SubspaceBasis(Frame(ring, s - 1), _colon_dual(ideal, s)), CONT)
+    return minimal_ideal(ring, colon.echelon, s - 1, s - 1).generators
 
 
 def cm_type(ideal: IdealHandle) -> int:
@@ -271,11 +290,8 @@ def cm_type(ideal: IdealHandle) -> int:
     if not status.artin:
         return -1
     s = status.socle_degree
-    ring = ideal.ring
-    frame = Frame(ring, s)
-    colon = SubspaceBasis(frame, _colon_maximal_subspace(ideal, s))
-    image = SubspaceBasis(frame, ideal._span_echelon(s))
-    return quotient_dim(colon, image)
+    dual_dim = ideal.ring.frame_size(s) - ideal._span_echelon(s).dim
+    return dual_dim - _colon_dual(ideal, s).dim
 
 
 def is_ag(ideal: IdealHandle) -> int:
@@ -294,13 +310,11 @@ def is_level(ideal: IdealHandle) -> int:
     if not status.artin:
         return -2
     s = status.socle_degree
-    ring = ideal.ring
-    # both sides contain m^(s+1), so their truncation spans at s decide it
-    other = ideal._span_echelon(s).copy()
-    other.insert_all(
-        {k: ring.field.one} for k in range(ring.frame_size(s - 1), ring.frame_size(s))
-    )
-    return s if _colon_maximal_subspace(ideal, s) == other else -1
+    if s == 0:
+        return 0
+    # m o I^perp always lies in I^perp cap S_<=s-1, so dimensions decide it
+    dual_dim = ideal.ring.frame_size(s - 1) - ideal._span_echelon(s - 1).dim
+    return s if _colon_dual(ideal, s).dim == dual_dim else -1
 
 
 def eq_ideal(a: IdealHandle, b: IdealHandle) -> bool:

@@ -11,31 +11,32 @@ resulting order-reversing bijection:
   of the ideal's truncation span there.
 * ``ideal_ann``:  M  ->  M^perp = (0 : M), an Artin ideal of R.  With D the
   top generator degree of M, any f splits as f = f_(<=D) + f_(>D); the tail
-  annihilates M outright, so M^perp = L + m^(D+1) where L solves the finite
-  linear system {f in R_<=D : f o g_j = 0 for all j}.  The resulting quotient
+  annihilates M outright, so M^perp = L + m^(D+1) with
+  L = {f in R_<=D : f o g_j = 0 for all j}.  The coefficient of x^b in
+  f o g vanishes iff f pairs to zero with x^b o g, so L is the orthogonal
+  complement of the closure span in the <=D frame.  The resulting quotient
   has socle degree exactly D.
 
 Submodules are handled by generator lists; the canonical semantic object is
 the closure span, the k-span of all iterated variable actions on the
-generators, cached on the handle.
+generators, cached on the handle.  Its frame is bounded by the ring's degree
+cap.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .artin import IdealHandle, minimal_ideal, require_artin
-from .errors import VerificationError
+from .artin import IdealHandle, maximal_action, minimal_ideal, require_artin
+from .errors import DegreeCapError, VerificationError
 from .linalg import (
     Echelon,
     Frame,
     SubspaceBasis,
-    kernel_of_vectors,
     perp_space,
     poly_to_vector,
     solve_combination,
     span_of,
-    vector_to_poly,
 )
 from .poly import (
     Poly,
@@ -77,8 +78,12 @@ class SubmoduleHandle:
     def closure(self) -> Echelon:
         """Span of all x^a o g_j: the module as a subspace of S_<=D."""
         if self._closure is None:
-            ech = Echelon()
             ring = self.ring
+            if self.degree_bound > ring.max_degree_cap:
+                raise DegreeCapError(
+                    f"module degree {self.degree_bound} exceeds degree cap {ring.max_degree_cap}"
+                )
+            ech = Echelon()
             for g in self.generators:
                 for mono in ring.monomials_upto(g.degree()):
                     h = apply_action(self.action, Poly.monomial(ring, mono), g)
@@ -140,14 +145,7 @@ def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
     canonical order of the top form, then full canonical text), matching the
     normalization used for inverse-system output.
     """
-    ring = module.ring
-    ech = Echelon()
-    for row in module.closure().sorted_rows():
-        g = vector_to_poly(ring, row)
-        for i in range(1, ring.nvars + 1):
-            h = apply_action(module.action, Poly.variable(ring, i), g)
-            if not h.is_zero():
-                ech.insert(poly_to_vector(h))
+    ech = maximal_action(module.ring, module.closure(), max(module.degree_bound, 0), module.action)
 
     def sort_key(g: Poly):
         return (-g.degree(), format_poly(top_form(g)), format_poly(g))
@@ -183,28 +181,12 @@ def inv_syst(ideal: IdealHandle, action: Optional[str] = None) -> SubmoduleHandl
 
 def ideal_ann(module: SubmoduleHandle) -> IdealHandle:
     """Annihilator ideal M^perp = (0 : M) of a nonzero submodule of S."""
-    ring = module.ring
-    gens = module.generators
-    if not gens:
+    if not module.generators:
         raise ValueError("zero module: annihilator is the whole ring")
+    # the closure's complement is the span at d, and d is the socle degree
     d = module.degree_bound
-    m1 = ring.frame_size(d)
-    unknowns = ring.monomials_upto(d)
-    vectors = []
-    for mono in unknowns:
-        xm = Poly.monomial(ring, mono)
-        combined = {}
-        for j, g in enumerate(gens):
-            h = apply_action(module.action, xm, g)
-            for m, c in h.terms.items():
-                combined[j * m1 + ring.index_of(m)] = c
-        vectors.append(combined)
-    kernel = Echelon.from_reduced(
-        kernel_of_vectors(vectors, len(gens) * m1, ring.field.one)
-    )
-    # the unknowns are the <=d frame, so the kernel is the ideal's span at d;
-    # the socle degree of R/M^perp is exactly the module's top generator degree
-    return minimal_ideal(ring, kernel, d, d)
+    span = perp_space(closure_span(module), module.action).echelon
+    return minimal_ideal(module.ring, span, d, d)
 
 
 def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[Poly]:

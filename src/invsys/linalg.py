@@ -45,13 +45,6 @@ class Echelon:
     def __init__(self):
         self.rows: dict[int, Vector] = {}
 
-    @classmethod
-    def from_reduced(cls, rows: Iterable[Vector]) -> "Echelon":
-        """Wrap rows that already form a reduced echelon basis (unit pivots)."""
-        ech = cls()
-        ech.rows = {min(row): row for row in rows}
-        return ech
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -270,32 +263,29 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     The pairing is <x^a, x^b> = [a == b] for contraction and a! * [a == b]
     for differentiation (characteristic 0 only).  dim(perp) always equals
     frame size - dim(U), and perp is an involution.
+
+    Read off U's reduced form: each non-pivot column f gives the contraction
+    complement vector e_f - sum_p row_p[f] * e_p, and only these are
+    eliminated.  The differentiation complement is the contraction one with
+    coordinate x^a scaled by 1/a!, which keeps every zero, so renormalising
+    each row at its pivot leaves it reduced.
     """
     ring = u.frame.ring
     check_action(ring, action)
-    m = u.frame.size
-    rows = u.echelon.sorted_rows()
-    columns: list[Vector] = [dict() for _ in range(m)]
-    for ri, row in enumerate(rows):
-        for c, val in row.items():
-            columns[c][ri] = val
-    kernel = kernel_of_vectors(columns, m, ring.field.one)
+    rows = u.echelon.rows
+    kernel = {f: {f: ring.field.one} for f in range(u.frame.size) if f not in rows}
+    for p, row in rows.items():
+        for f, c in row.items():
+            if f != p:
+                kernel[f][p] = -c
     ech = Echelon()
+    # sparsest first, then from the highest column down: measured the
+    # steadiest order across span, closure and colon complements
+    ech.insert_all(sorted(kernel.values(), key=lambda v: (len(v), -max(v))))
     if action == DER:
-        weights = {}
-        for vec in kernel:
-            scaled = {}
-            for c, val in vec.items():
-                w = weights.get(c)
-                if w is None:
-                    mono = ring.monomial_at(c)
-                    w = 1
-                    for e in mono:
-                        if e > 1:
-                            w *= math.factorial(e)
-                    weights[c] = w
-                scaled[c] = val / ring.field.coerce(w)
-            ech.insert(scaled)
-    else:
-        ech.insert_all(kernel)
+        weight = [math.prod(map(math.factorial, m)) for m in u.frame.monomials]
+        ech.rows = {
+            p: {k: c * ring.field.from_ratio(weight[p], weight[k]) for k, c in row.items()}
+            for p, row in ech.rows.items()
+        }
     return SubspaceBasis(u.frame, ech)

@@ -22,6 +22,7 @@ every larger frame's.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -199,6 +200,7 @@ class Ring:
         self._by_degree: list[list[Monomial]] = [[(0,) * nvars]]
         self._flat: list[Monomial] = [(0,) * nvars]
         self._index: dict[Monomial, int] = {(0,) * nvars: 0}
+        self._grow_lock = threading.Lock()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Ring):
@@ -213,13 +215,19 @@ class Ring:
         return f"Ring(nvars={self.nvars}, field={k})"
 
     def _grow(self, degree: int) -> None:
-        while len(self._by_degree) <= degree:
-            d = len(self._by_degree)
-            level = list(_monomials_of_degree(self.nvars, d))
-            for m in level:
-                self._index[m] = len(self._flat)
-                self._flat.append(m)
-            self._by_degree.append(level)
+        """Enumerate through ``degree``.  One thread grows at a time, and each
+        level is published flat list first, index next, level list last, so a
+        reader that sees a level also sees its indices."""
+        if len(self._by_degree) > degree:
+            return
+        with self._grow_lock:
+            while len(self._by_degree) <= degree:
+                d = len(self._by_degree)
+                level = list(_monomials_of_degree(self.nvars, d))
+                start = len(self._flat)
+                self._flat.extend(level)
+                self._index.update((m, start + k) for k, m in enumerate(level))
+                self._by_degree.append(level)
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
         self._grow(d)

@@ -2,16 +2,32 @@
 
 These rebuild every truncation span from all products x^a * g_j, cut off at
 the bound, and test m^d <= I one monomial at a time: no extension from a
-lower bound, no projection from a higher one and no cached spans.  They
-share the echelon, the kernel solve and the module actions with the library,
-but none of the span builder or its consumers in ``invsys.artin``, so they
-can cross-check it.
+lower bound, no projection from a higher one and no cached spans.  The
+orthogonal complement, the colon ideal and the annihilator are each solved
+as a tracked kernel (``kernel_of_vectors``), and m o M is formed by applying
+each variable to polynomials.  They share only the echelon and the module
+actions with the library, none of its span builder, read-off complement or
+index-level m o pass, so they can cross-check those.
 """
 
 from __future__ import annotations
 
-from invsys import ArtinStatus, Echelon, IdealHandle, Poly, SubmoduleHandle, apply_action, format_poly
-from invsys.linalg import kernel_of_vectors, poly_to_vector
+import math
+
+from invsys import (
+    DER,
+    ArtinStatus,
+    Echelon,
+    Frame,
+    IdealHandle,
+    Poly,
+    SubmoduleHandle,
+    SubspaceBasis,
+    apply_action,
+    format_poly,
+    top_form,
+)
+from invsys.linalg import Vector, kernel_of_vectors, poly_to_vector, vector_to_poly
 
 
 def product_span(ideal: IdealHandle, bound: int, min_multiplier: int = 0) -> Echelon:
@@ -61,27 +77,102 @@ def min_gens(ideal: IdealHandle, socle_degree: int | None = None) -> list[Poly]:
     return selected
 
 
-def socle(ideal: IdealHandle) -> list[Poly]:
-    """Minimal generators of (I : m), the colon ideal searched afresh."""
+def colon_span(ideal: IdealHandle, s: int) -> list[Vector]:
+    """Reduced basis of {f in R_<=s : x_i * f in I for all i}, the truncation
+    span of (I : m) at bound s, solved as one kernel mod m^(s+2)."""
     ring = ideal.ring
-    s = artin_status(ideal).socle_degree
-    if s == 0:
-        return [Poly.one(ring)]
     big = product_span(ideal, s + 1)
     m1 = ring.frame_size(s + 1)
-    monos = ring.monomials_upto(s)
     vectors = []
-    for mono in monos:
+    for mono in ring.monomials_upto(s):
         combined = {}
         for i in range(ring.nvars):
             shifted = Poly.monomial(ring, mono) * Poly.variable(ring, i + 1)
             for idx, c in big.reduce(poly_to_vector(shifted)).items():
                 combined[i * m1 + idx] = c
         vectors.append(combined)
-    kernel = kernel_of_vectors(vectors, ring.nvars * m1, ring.field.one)
-    gens = [Poly(ring, {monos[k]: c for k, c in vec.items()}) for vec in kernel]
+    return kernel_of_vectors(vectors, ring.nvars * m1, ring.field.one)
+
+
+def socle(ideal: IdealHandle) -> list[Poly]:
+    """Minimal generators of (I : m), the colon ideal searched afresh."""
+    ring = ideal.ring
+    s = artin_status(ideal).socle_degree
+    if s == 0:
+        return [Poly.one(ring)]
+    gens = [vector_to_poly(ring, vec) for vec in colon_span(ideal, s)]
     gens += [Poly.monomial(ring, m) for m in ring.monomials_of_degree(s + 1)]
     return min_gens(IdealHandle(ring, gens))
+
+
+def cm_type(ideal: IdealHandle) -> int:
+    """dim (I : m)/I from the colon kernel and the product span at s."""
+    s = artin_status(ideal).socle_degree
+    return len(colon_span(ideal, s)) - product_span(ideal, s).dim
+
+
+def is_ag(ideal: IdealHandle) -> int:
+    s = artin_status(ideal).socle_degree
+    return s if cm_type(ideal) == 1 else -1
+
+
+def is_level(ideal: IdealHandle) -> int:
+    """s when (I : m) = I + m^s, compared as spans at bound s, else -1."""
+    ring = ideal.ring
+    s = artin_status(ideal).socle_degree
+    other = product_span(ideal, s)
+    other.insert_all({k: ring.field.one} for k in range(ring.frame_size(s - 1), ring.frame_size(s)))
+    return s if {min(v): v for v in colon_span(ideal, s)} == other.rows else -1
+
+
+def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
+    """The complement as the kernel of U's transposed rows, then weighted."""
+    ring = u.frame.ring
+    m = u.frame.size
+    columns: list[Vector] = [dict() for _ in range(m)]
+    for ri, row in enumerate(u.echelon.sorted_rows()):
+        for c, val in row.items():
+            columns[c][ri] = val
+    ech = Echelon()
+    for vec in kernel_of_vectors(columns, m, ring.field.one):
+        if action == DER:
+            vec = {
+                c: val / ring.field.coerce(math.prod(map(math.factorial, ring.monomial_at(c))))
+                for c, val in vec.items()
+            }
+        ech.insert(vec)
+    return SubspaceBasis(u.frame, ech)
+
+
+def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
+    """Nakayama selection against m o closure built by applying each x_i."""
+    ring = module.ring
+    ech = Echelon()
+    for row in module.closure().sorted_rows():
+        g = vector_to_poly(ring, row)
+        for i in range(1, ring.nvars + 1):
+            h = apply_action(module.action, Poly.variable(ring, i), g)
+            if not h.is_zero():
+                ech.insert(poly_to_vector(h))
+
+    def sort_key(g: Poly):
+        return (-g.degree(), format_poly(top_form(g)), format_poly(g))
+
+    selected = []
+    for g in sorted(module.generators, key=sort_key):
+        if ech.insert(poly_to_vector(g)) is not None:
+            selected.append(g)
+    return selected
+
+
+def inv_syst(ideal: IdealHandle, action: str) -> list[Poly]:
+    """Minimal generators of I^perp: the kernel complement of the product span."""
+    ring = ideal.ring
+    s = artin_status(ideal).socle_degree
+    perp = perp_space(SubspaceBasis(Frame(ring, s), product_span(ideal, s)), action)
+    module = SubmoduleHandle(ring, perp.row_polys(), action)
+    module._closure = perp.echelon
+    return min_gens_ih(module)
 
 
 def ideal_ann(module: SubmoduleHandle) -> list[Poly]:

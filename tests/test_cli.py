@@ -177,6 +177,15 @@ def test_inconclusive_exit_code(capsys):
     assert code == 4
 
 
+def test_module_degree_above_cap_exits_inconclusive(capsys):
+    args = ("ideal-ann", "--vars", "2", "--max-degree", "3", "--format", "json", "x1^4*x2^4")
+    code, out, err = invoke(capsys, *args)
+    assert (code, out) == (4, "")
+    assert "cap 3" in err
+    code, out, _ = invoke(capsys, "ideal-ann", "--vars", "2", "--max-degree", "8", "x1^4*x2^4")
+    assert (code, out) == (0, "g[1]=x1^5\ng[2]=x2^5\n")
+
+
 # -- determinism and formats ---------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Scalars, parsing/formatting, apolarity actions, sigma, top forms, gen_pol."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -350,6 +352,32 @@ def test_ring_validation():
         Ring(2, 5, default_action=DER)
     assert Ring(2, 5).default_action == CONT
     assert Ring(2, 0).default_action == DER
+
+
+def test_ring_enumeration_grows_safely_across_threads():
+    # a tiny switch interval makes threads interleave inside the first growth
+    degree, trials, workers = 10, 10, 4
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(trials):
+            ring = Ring(4, 0)
+            start = threading.Barrier(workers)
+
+            def grow():
+                start.wait()
+                ring.monomials_upto(degree)
+
+            threads = [threading.Thread(target=grow) for _ in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            size = ring.frame_size(degree)
+            assert len(ring.monomials_upto(degree)) == size
+            assert all(ring.index_of(ring.monomial_at(k)) == k for k in range(size))
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_prime_field_scalars():

@@ -1,24 +1,37 @@
-"""The incremental truncation-span builder against the from-scratch oracle.
+"""The incremental truncation-span builder and the duality read-offs against
+the from-scratch oracle.
 
 Every span the builder produces, by extension from a lower bound, by
 projection from a higher one or from a seeded cache, must equal the reduced
-echelon of all products x^a * g_j; and the consumers that read those spans
-(Artin search, minimal generators, socle, annihilator) must agree with the
-versions in ``oracle`` that rebuild each span from scratch.
+echelon of all products x^a * g_j; every orthogonal complement must equal the
+tracked-kernel one; and the consumers that read those spans and complements
+(Artin search, minimal generators, socle, type, level, annihilator, inverse
+system) must agree with the versions in ``oracle`` that solve each afresh.
 """
 
 import pytest
 
 import oracle
 from invsys import (
+    ACTIONS,
+    CONT,
     IdealHandle,
+    Poly,
     Ring,
     SubmoduleHandle,
     analyze_artin,
+    apply_action,
+    closure_span,
+    cm_type,
     gen_pol,
     ideal_ann,
     ideal_min_gens,
+    inv_syst,
+    is_ag,
+    is_level,
+    min_gens_ih,
     parse_poly,
+    perp_space,
     socle_ideal,
     truncation_span,
 )
@@ -30,13 +43,16 @@ SEEDS = (1, 2, 3)
 
 
 def modules(n, char):
-    """Seeded single-generator modules: one form of top degree, one mixed."""
+    """Seeded modules: one form of top degree, one mixed, and two forms whose
+    degrees differ for odd seeds (type 2, level only for even seeds)."""
     ring = Ring(n, char)
     d = TOP_DEGREE[n]
     out = []
     for seed in SEEDS:
+        e = d - seed % 2
         out.append(SubmoduleHandle(ring, [gen_pol(ring, d, d, 3, seed)]))
         out.append(SubmoduleHandle(ring, [gen_pol(ring, 0, d, 3, 100 + seed)]))
+        out.append(SubmoduleHandle(ring, [gen_pol(ring, d, d, 3, 200 + seed), gen_pol(ring, e, e, 3, 300 + seed)]))
     return out
 
 
@@ -55,6 +71,10 @@ def artin_ideals(n, char):
 
 
 GRID = [(n, char) for char in (0, 32003) for n in (2, 3, 4, 5)]
+
+
+def actions(char):
+    return ACTIONS if char == 0 else (CONT,)
 
 
 @pytest.mark.parametrize("n,char", GRID)
@@ -92,6 +112,38 @@ def test_consumers_match_oracle(n, char):
         assert analyze_artin(ideal) == oracle.artin_status(ideal)
         assert ideal_min_gens(ideal) == oracle.min_gens(ideal)
         assert socle_ideal(ideal) == oracle.socle(ideal)
+        assert cm_type(ideal) == oracle.cm_type(ideal)
+        assert is_ag(ideal) == oracle.is_ag(ideal)
+        assert is_level(ideal) == oracle.is_level(ideal)
+
+
+@pytest.mark.parametrize("n,char", GRID)
+def test_perp_matches_kernel_oracle(n, char):
+    for ideal in artin_ideals(n, char):
+        for b in range(require_artin(ideal) + 1):
+            span = truncation_span(ideal, b)
+            for action in actions(char):
+                assert perp_space(span, action) == oracle.perp_space(span, action), (b, action)
+    for module in modules(n, char):
+        for action in actions(char):
+            span = closure_span(SubmoduleHandle(module.ring, module.generators, action))
+            assert perp_space(span, action) == oracle.perp_space(span, action), action
+
+
+@pytest.mark.parametrize("n,char", GRID)
+def test_module_generators_match_oracle(n, char):
+    for ideal in artin_ideals(n, char):
+        for action in actions(char):
+            assert inv_syst(ideal, action).generators == oracle.inv_syst(ideal, action), action
+    for module in modules(n, char):
+        ring = module.ring
+        f = module.generators[0]
+        for action in actions(char):
+            # redundant generators: derivatives of f and a combination of two
+            gens = [f] + [apply_action(action, Poly.variable(ring, i), f) for i in (1, 2)]
+            gens.append(gens[1] + gens[2])
+            redundant = SubmoduleHandle(ring, gens, action)
+            assert min_gens_ih(redundant) == oracle.min_gens_ih(redundant), action
 
 
 @pytest.mark.parametrize(
