@@ -7,8 +7,9 @@ basis of the <=B frame.  One builder produces them all, from two identities:
 * Extension.  span_I(B) = span{g_j mod m^(B+1)} + span{x_i * r : r a row of
   span_I(B-1)}, starting from span_I(0) = 0 (generators are nonunits),
   because I = span{g_j} + m*I and x_i * f mod m^(B+1) only depends on
-  f mod m^B.  The second set alone is m*I mod m^(B+1), which is how the
-  Nakayama pass for minimal generators reads m*I off the cached span.
+  f mod m^B.  The second set alone is m*I mod m^(B+1), so the Nakayama pass
+  for minimal generators is this step from span_I(s) to s + 1, with the
+  generators inserted in canonical order: those that add a pivot are kept.
 * Projection.  For b < B, span_I(b) is the set of rows of span_I(B) with a
   pivot inside the <=b frame, cut to that frame: pivots sit at the lowest
   index, so the other rows vanish there and these stay mutually reduced.
@@ -24,10 +25,10 @@ README for the two-line proof sketch.  The quotient A = R/I is Artinian
 exactly when such a d exists, and the least one is s + 1 for the socle
 degree s.
 
-Non-Artinianity is provable here only in the special case of a variable
-missing from every generator (then A surjects onto a power-series ring in
-that variable); otherwise the search stops at the ring's degree cap and the
-verdict is the inconclusive "not Artinian within cap".
+Non-Artinianity is proven when for some i no generator has a pure power
+term c*x_i^k: then I <= (x_j : j != i) and A maps onto k[[x_i]].  This
+axis certificate never fires on an Artinian ideal, as x_i^d in I forces such
+a term.  Otherwise the search stops at the degree cap, inconclusively.
 
 Socle, type and level are read on the dual side, under contraction.  The
 identity (I : m)^perp = m o I^perp holds because f kills m o I^perp iff
@@ -50,7 +51,6 @@ from .linalg import (
     kernel_of_vectors,  # noqa: F401  unused; the benchmark's tracer looks it up here
     perp_space,
     poly_to_vector,
-    vector_to_poly,
 )
 from .poly import CONT, DER, Poly, Ring, format_poly
 
@@ -59,8 +59,8 @@ from .poly import CONT, DER, Poly, Ring, format_poly
 class ArtinStatus:
     """Outcome of the Artinianity search.
 
-    For a non-Artinian verdict, ``proven`` distinguishes an actual proof (a
-    variable absent from every generator) from cap exhaustion.
+    For a non-Artinian verdict, ``proven`` distinguishes an actual proof (the
+    coordinate-axis certificate) from cap exhaustion.
     """
 
     artin: bool
@@ -114,10 +114,7 @@ class IdealHandle:
             start = max((b for b in spans if b < bound), default=0)
             ech = spans.get(start, Echelon())
             for b in range(start + 1, bound + 1):
-                ech = _times_maximal(ring, ech, b)
-                ech.insert_all(
-                    poly_to_vector(g.truncated(b)) for g in self.generators if g.order() <= b
-                )
+                ech, _ = _extended(ring, ech, self.generators, b)
         spans[bound] = ech
         return ech
 
@@ -146,8 +143,13 @@ def _shift_tables(ring: Ring, bound: int) -> list[list[int]]:
     ]
 
 
-def _times_maximal(ring: Ring, ech: Echelon, bound: int) -> Echelon:
-    """m times the span of ``ech`` (in the <=bound-1 frame), mod m^(bound+1)."""
+def _extended(ring: Ring, ech: Echelon, gens: list[Poly], bound: int) -> tuple[Echelon, list[Poly]]:
+    """The extension step: span_I(bound) from ech = span_I(bound-1).
+
+    Inserts the x_i-shifts of ech's rows, which span m*I mod m^(bound+1),
+    then each generator of order <= bound, truncated at bound, in the order
+    given.  Returns the span and the generators that added a pivot.
+    """
     shifts = _shift_tables(ring, bound - 1)
     vecs = [{up[k]: c for k, c in row.items()} for row in ech.rows.values() for up in shifts]
     # highest leads first: each new pivot then lies below every stored row,
@@ -155,22 +157,27 @@ def _times_maximal(ring: Ring, ech: Echelon, bound: int) -> Echelon:
     vecs.sort(key=min, reverse=True)
     out = Echelon()
     out.insert_all(vecs)
-    return out
+    added = [
+        g for g in gens
+        if g.order() <= bound and out.insert(poly_to_vector(g.truncated(bound))) is not None
+    ]
+    return out, added
 
 
-def maximal_action(ring: Ring, ech: Echelon, bound: int, action: str) -> Echelon:
-    """Echelon of m o span(ech), for ``ech`` in the <=bound frame of S.
+def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
+    """Echelon of m o V for a subspace V of S, in the frame one degree lower.
 
     x_i o x^(a+e_i) = w * x^a with w = a_i + 1 under differentiation and 1
     under contraction, so the inverted shift tables of the <=bound-1 frame
     carry each row r to x_i o r.
     """
+    ring, bound = span.frame.ring, span.frame.bound
     monos = ring.monomials_upto(bound - 1)
     weighted = action == DER
     vecs = []
     for i, up in enumerate(_shift_tables(ring, bound - 1)):
         down = {j: (k, monos[k][i] + 1) for k, j in enumerate(up)}
-        for row in ech.rows.values():
+        for row in span.echelon.rows.values():
             vec = {}
             for j, c in row.items():
                 if j in down:
@@ -215,18 +222,17 @@ def contains_power_of_maximal(ideal: IdealHandle, d: int) -> bool:
 def analyze_artin(ideal: IdealHandle) -> ArtinStatus:
     """Search for the least d with m^d <= I; Artin with socle degree d - 1.
 
-    A variable occurring in no generator proves non-Artinianity immediately;
-    otherwise the search runs up to the ring's degree cap and failure is the
-    inconclusive "not Artinian within cap" verdict.
+    The axis certificate (see the module docstring) proves non-Artinianity
+    at once; otherwise the search runs up to the ring's degree cap and
+    failure is the inconclusive "not Artinian within cap" verdict.
     """
     if ideal._status is not None:
         return ideal._status
     ring = ideal.ring
     cap = ring.max_degree_cap
-    used: set[int] = set()
-    for g in ideal.generators:
-        used |= g.support_variables()
-    if len(used) < ring.nvars:
+    # the i with a pure power c*x_i^k in some generator
+    axes = {i for g in ideal.generators for m in g.terms for i, e in enumerate(m) if e == sum(m) > 0}
+    if len(axes) < ring.nvars:
         status = ArtinStatus(artin=False, socle_degree=None, proven=True, cap=cap)
     else:
         status = None
@@ -264,9 +270,7 @@ def hilbert(ideal: IdealHandle) -> list[int]:
 
 def _colon_dual(ideal: IdealHandle, s: int) -> Echelon:
     """(I : m)^perp = m o I^perp under contraction, in the <=s-1 frame."""
-    ring = ideal.ring
-    dual = perp_space(SubspaceBasis(Frame(ring, s), ideal._span_echelon(s)), CONT)
-    return maximal_action(ring, dual.echelon, s, CONT)
+    return maximal_action(perp_space(truncation_span(ideal, s), CONT), CONT)
 
 
 def socle_ideal(ideal: IdealHandle) -> list[Poly]:
@@ -276,12 +280,11 @@ def socle_ideal(ideal: IdealHandle) -> list[Poly]:
     reported as the single unit generator [1].
     """
     s = require_artin(ideal)
-    ring = ideal.ring
     if s == 0:
-        return [Poly.one(ring)]
+        return [Poly.one(ideal.ring)]
     # (I : m)^perp lies in the <=s-1 frame: (I : m) has socle degree s - 1
-    colon = perp_space(SubspaceBasis(Frame(ring, s - 1), _colon_dual(ideal, s)), CONT)
-    return minimal_ideal(ring, colon.echelon, s - 1, s - 1).generators
+    dual = SubspaceBasis(Frame(ideal.ring, s - 1), _colon_dual(ideal, s))
+    return minimal_ideal(perp_space(dual, CONT)).generators
 
 
 def cm_type(ideal: IdealHandle) -> int:
@@ -341,34 +344,27 @@ def ideal_min_gens(ideal: IdealHandle) -> list[Poly]:
     selection is deterministic and independent of input order.
     """
     s = require_artin(ideal)
-    bound = s + 1
-    # m*I mod m^(s+2) is spanned by the x_i-shifts of the cached span at s
-    ech = _times_maximal(ideal.ring, ideal._span_echelon(s), bound)
 
     def sort_key(g: Poly):
         lead = g.homogeneous_component(g.order())
         return (g.degree(), format_poly(lead), format_poly(g))
 
-    selected = []
-    for g in sorted(ideal.generators, key=sort_key):
-        vec = poly_to_vector(g.truncated(bound))
-        if ech.insert(vec) is not None:
-            selected.append(g)
-    return selected
+    # the extension step to s + 1: the shifts of span_I(s) span m*I there
+    gens = sorted(ideal.generators, key=sort_key)
+    return _extended(ideal.ring, ideal._span_echelon(s), gens, s + 1)[1]
 
 
-def minimal_ideal(ring: Ring, span: Echelon, bound: int, socle_degree: int) -> IdealHandle:
-    """The Artin ideal J = (rows of ``span``) + m^(bound+1), minimally generated.
+def minimal_ideal(span: SubspaceBasis) -> IdealHandle:
+    """The ideal J = span + m^(B+1), B the frame bound, minimally generated.
 
-    ``span`` is J's truncation span at ``bound`` and ``socle_degree`` <= bound
-    is known, so both are seeded into the caches and no Artinianity search
-    runs.  Candidates are the rows, then the degree bound+1 monomials.
+    ``span`` is J's truncation span at B, and B is J's socle degree (span is
+    the perp of a space with a degree-B element), so both are seeded and no
+    Artinianity search runs.  Candidates are the rows, then m^(B+1)'s.
     """
-    gens = [vector_to_poly(ring, row) for row in span.sorted_rows()]
-    gens += [Poly.monomial(ring, m) for m in ring.monomials_of_degree(bound + 1)]
-    full = IdealHandle(ring, gens)
-    full._spans[bound] = span
-    full._status = ArtinStatus(True, socle_degree, proven=True, cap=ring.max_degree_cap)
-    out = IdealHandle(ring, ideal_min_gens(full))
-    out._spans, out._status = full._spans, full._status
+    ring, bound = span.frame.ring, span.frame.bound
+    gens = span.row_polys() + [Poly.monomial(ring, m) for m in ring.monomials_of_degree(bound + 1)]
+    out = IdealHandle(ring, gens)
+    out._spans[bound] = span.echelon
+    out._status = ArtinStatus(True, bound, proven=True, cap=ring.max_degree_cap)
+    out.generators = ideal_min_gens(out)
     return out

@@ -48,15 +48,7 @@ from .duality import (
     sub_mod_ih,
 )
 from .elliptic import classification_table, ideal_wj, verify_row, weierstrass_j
-from .errors import (
-    CharacteristicError,
-    DegreeCapError,
-    FrameMismatchError,
-    InvSysError,
-    NotArtinError,
-    ParseError,
-    SingularCurveError,
-)
+from .errors import DegreeCapError, InvSysError, NotArtinError, ParseError
 from .poly import CONT, DER, Poly, Ring, format_poly, gen_pol, parse_poly
 
 EXIT_OK = 0
@@ -290,11 +282,11 @@ def _run_socle(args) -> int:
     ideal = IdealHandle(ring, _parse_gens(args.input, ring))
     try:
         gens = socle_ideal(ideal)
-    except NotArtinError as exc:
-        # classical convention: print -1 for a non-Artinian input
+    except NotArtinError:
+        # classical convention: print -1 for a non-Artinian input; run()
+        # reports the error and picks the exit code
         _emit(args, _ring_desc(ring), None, -1, _artin_diagnostics(ideal), ["-1"])
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION if exc.proven else EXIT_INCONCLUSIVE
+        raise
     return _emit_gens(args, _ring_desc(ring), None, gens, _artin_diagnostics(ideal))
 
 
@@ -310,7 +302,7 @@ def _run_hilbert(args) -> int:
 def _run_inv_syst(args) -> int:
     ring = _make_ring(args)
     ideal = IdealHandle(ring, _parse_gens(args.input, ring))
-    module = inv_syst(ideal, ring.default_action)
+    module = inv_syst(ideal)
     return _emit_gens(
         args, _ring_desc(ring), ring.default_action, module.generators, _artin_diagnostics(ideal)
     )
@@ -318,8 +310,7 @@ def _run_inv_syst(args) -> int:
 
 def _run_ideal_ann(args) -> int:
     ring = _make_ring(args)
-    module = SubmoduleHandle(ring, _parse_gens(args.input, ring), ring.default_action)
-    ann = ideal_ann(module)
+    ann = ideal_ann(SubmoduleHandle(ring, _parse_gens(args.input, ring)))
     return _emit_gens(
         args, _ring_desc(ring), ring.default_action, ann.generators, _artin_diagnostics(ann)
     )
@@ -327,7 +318,7 @@ def _run_ideal_ann(args) -> int:
 
 def _run_min_gens(args) -> int:
     ring = _make_ring(args)
-    module = SubmoduleHandle(ring, _parse_gens(args.input, ring), ring.default_action)
+    module = SubmoduleHandle(ring, _parse_gens(args.input, ring))
     return _emit_gens(args, _ring_desc(ring), ring.default_action, min_gens_ih(module), {})
 
 
@@ -342,16 +333,14 @@ def _run_eq_ideal(args) -> int:
 
 def _run_module_predicate(args) -> int:
     ring = _make_ring(args)
-    action = ring.default_action
     if args.command == "member-ih":
         g = _parse_single(args.input1, ring)
-        module = SubmoduleHandle(ring, _parse_gens(args.input2, ring), action)
-        value = int(member_ih(g, module))
+        value = int(member_ih(g, SubmoduleHandle(ring, _parse_gens(args.input2, ring))))
     else:
-        a = SubmoduleHandle(ring, _parse_gens(args.input1, ring), action)
-        b = SubmoduleHandle(ring, _parse_gens(args.input2, ring), action)
+        a = SubmoduleHandle(ring, _parse_gens(args.input1, ring))
+        b = SubmoduleHandle(ring, _parse_gens(args.input2, ring))
         value = int(sub_mod_ih(a, b) if args.command == "sub-mod-ih" else eq_mod_ih(a, b))
-    _emit(args, _ring_desc(ring), action, value, {}, [str(value)])
+    _emit(args, _ring_desc(ring), ring.default_action, value, {}, [str(value)])
     return EXIT_OK
 
 
@@ -359,7 +348,7 @@ def _run_colon(args) -> int:
     ring = _make_ring(args)
     f = _parse_single(args.input1, ring)
     g = _parse_single(args.input2, ring)
-    h = colon_inv_syst(f, g, ring.default_action)
+    h = colon_inv_syst(f, g)
     text = format_poly(h) if h is not None else "0"
     result = {"exists": h is not None, "poly": text}
     _emit(args, _ring_desc(ring), ring.default_action, result, {}, [text])
@@ -436,15 +425,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except DegreeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (
-        CharacteristicError,
-        SingularCurveError,
-        FrameMismatchError,
-        InvSysError,
-        ValueError,
-        ZeroDivisionError,
-        FileNotFoundError,
-    ) as exc:
+    except (InvSysError, ValueError, ZeroDivisionError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

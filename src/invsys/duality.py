@@ -17,6 +17,10 @@ resulting order-reversing bijection:
   complement of the closure span in the <=D frame.  The resulting quotient
   has socle degree exactly D.
 
+Each direction is one complement and one seeded constructor, here
+``minimal_module`` and :func:`invsys.artin.minimal_ideal`: one handle on the
+complement's rows, the complement seeded, the Nakayama selection kept.
+
 Submodules are handled by generator lists; the canonical semantic object is
 the closure span, the k-span of all iterated variable actions on the
 generators, cached on the handle.  Its frame is bounded by the ring's degree
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .artin import IdealHandle, maximal_action, minimal_ideal, require_artin
+from .artin import IdealHandle, maximal_action, minimal_ideal, require_artin, truncation_span
 from .errors import DegreeCapError, VerificationError
 from .linalg import (
     Echelon,
@@ -145,7 +149,7 @@ def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
     canonical order of the top form, then full canonical text), matching the
     normalization used for inverse-system output.
     """
-    ech = maximal_action(module.ring, module.closure(), max(module.degree_bound, 0), module.action)
+    ech = maximal_action(closure_span(module), module.action)
 
     def sort_key(g: Poly):
         return (-g.degree(), format_poly(top_form(g)), format_poly(g))
@@ -169,13 +173,18 @@ def inv_syst(ideal: IdealHandle, action: Optional[str] = None) -> SubmoduleHandl
         action = ring.default_action
     check_action(ring, action)
     s = require_artin(ideal)
-    image = SubspaceBasis(Frame(ring, s), ideal._span_echelon(s))
-    perp = perp_space(image, action)
-    rough = SubmoduleHandle(ring, perp.row_polys(), action)
-    rough._closure = perp.echelon
-    gens = min_gens_ih(rough)
-    out = SubmoduleHandle(ring, gens, action)
-    out._closure = perp.echelon
+    return minimal_module(perp_space(truncation_span(ideal, s), action), action)
+
+
+def minimal_module(closure: SubspaceBasis, action: str) -> SubmoduleHandle:
+    """The submodule whose closure span is ``closure``, minimally generated.
+
+    One handle on the closure's rows, with the closure seeded, so the
+    Nakayama pass of :func:`min_gens_ih` reads it instead of rebuilding it.
+    """
+    out = SubmoduleHandle(closure.frame.ring, closure.row_polys(), action)
+    out._closure = closure.echelon
+    out.generators = min_gens_ih(out)
     return out
 
 
@@ -183,10 +192,8 @@ def ideal_ann(module: SubmoduleHandle) -> IdealHandle:
     """Annihilator ideal M^perp = (0 : M) of a nonzero submodule of S."""
     if not module.generators:
         raise ValueError("zero module: annihilator is the whole ring")
-    # the closure's complement is the span at d, and d is the socle degree
-    d = module.degree_bound
-    span = perp_space(closure_span(module), module.action).echelon
-    return minimal_ideal(module.ring, span, d, d)
+    # the closure's complement is the span at D, and D is the socle degree
+    return minimal_ideal(perp_space(closure_span(module), module.action))
 
 
 def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[Poly]:
@@ -234,9 +241,10 @@ def hilbert_via_inverse_system(
     independent route that must agree with :func:`invsys.artin.hilbert`.
     """
     ring = ideal.ring
-    module = inv_syst(ideal, action)
-    closure = module.closure()
+    if action is None:
+        action = ring.default_action
     s = require_artin(ideal)
+    closure = perp_space(truncation_span(ideal, s), action).echelon
     dims = []
     prev = 0
     one = ring.field.one

@@ -340,15 +340,6 @@ class Poly:
             return Poly.zero(self.ring)
         return Poly(self.ring, {m: v * c for m, v in self.terms.items()})
 
-    def support_variables(self) -> set[int]:
-        """1-based indices of variables occurring in some term."""
-        used: set[int] = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    used.add(i + 1)
-        return used
-
     def _check_same_ring(self, other: "Poly") -> None:
         if self.ring != other.ring:
             raise ValueError("polynomials from different rings")

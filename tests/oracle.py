@@ -4,10 +4,11 @@ These rebuild every truncation span from all products x^a * g_j, cut off at
 the bound, and test m^d <= I one monomial at a time: no extension from a
 lower bound, no projection from a higher one and no cached spans.  The
 orthogonal complement, the colon ideal and the annihilator are each solved
-as a tracked kernel (``kernel_of_vectors``), and m o M is formed by applying
-each variable to polynomials.  They share only the echelon and the module
-actions with the library, none of its span builder, read-off complement or
-index-level m o pass, so they can cross-check those.
+as a tracked kernel (``kernel_of_vectors``), a module's closure and m o M
+are formed by applying monomials to polynomials, and the axis certificate
+sets variables to zero.  They share only the echelon and the module actions
+with the library, none of its span builder, read-off complement, index-level
+m o pass or seeded caches, so they can cross-check those.
 """
 
 from __future__ import annotations
@@ -45,12 +46,20 @@ def product_span(ideal: IdealHandle, bound: int, min_multiplier: int = 0) -> Ech
     return ech
 
 
+def on_axis(g: Poly, i: int) -> Poly:
+    """g with every variable but x_(i+1) set to zero."""
+    return Poly(g.ring, {m: c for m, c in g.terms.items() if not any(m[:i] + m[i + 1:])})
+
+
 def artin_status(ideal: IdealHandle) -> ArtinStatus:
-    """The Artinianity verdict by a search that rebuilds each span."""
+    """The Artinianity verdict by a search that rebuilds each span.
+
+    Proven non-Artinian when every generator vanishes on some coordinate
+    axis, so that R/I maps onto the power series in that variable.
+    """
     ring = ideal.ring
     cap = ring.max_degree_cap
-    used = set().union(*(g.support_variables() for g in ideal.generators))
-    if len(used) < ring.nvars:
+    if any(all(on_axis(g, i).is_zero() for g in ideal.generators) for i in range(ring.nvars)):
         return ArtinStatus(artin=False, socle_degree=None, proven=True, cap=cap)
     for d in range(1, cap + 1):
         ech = product_span(ideal, d)
@@ -144,11 +153,23 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     return SubspaceBasis(u.frame, ech)
 
 
+def closure(module: SubmoduleHandle) -> Echelon:
+    """Span of every x^a o g_j, each applied to the generator as a polynomial."""
+    ring = module.ring
+    ech = Echelon()
+    for g in module.generators:
+        for mono in ring.monomials_upto(g.degree()):
+            h = apply_action(module.action, Poly.monomial(ring, mono), g)
+            if not h.is_zero():
+                ech.insert(poly_to_vector(h))
+    return ech
+
+
 def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
     """Nakayama selection against m o closure built by applying each x_i."""
     ring = module.ring
     ech = Echelon()
-    for row in module.closure().sorted_rows():
+    for row in closure(module).sorted_rows():
         g = vector_to_poly(ring, row)
         for i in range(1, ring.nvars + 1):
             h = apply_action(module.action, Poly.variable(ring, i), g)
@@ -170,9 +191,7 @@ def inv_syst(ideal: IdealHandle, action: str) -> list[Poly]:
     ring = ideal.ring
     s = artin_status(ideal).socle_degree
     perp = perp_space(SubspaceBasis(Frame(ring, s), product_span(ideal, s)), action)
-    module = SubmoduleHandle(ring, perp.row_polys(), action)
-    module._closure = perp.echelon
-    return min_gens_ih(module)
+    return min_gens_ih(SubmoduleHandle(ring, perp.row_polys(), action))
 
 
 def ideal_ann(module: SubmoduleHandle) -> list[Poly]:

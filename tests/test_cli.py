@@ -34,7 +34,7 @@ def test_is_ag_proven_not_artin_exits_zero(capsys):
 
 def test_is_ag_cap_limited_exits_inconclusive(capsys):
     code, out, err = invoke(
-        capsys, "is-ag", "--vars", "2", "--max-degree", "5", "x1*x2"
+        capsys, "is-ag", "--vars", "2", "--max-degree", "5", "x1^2+x2^2"
     )
     assert code == 4
     assert out == "-2\n"
@@ -173,8 +173,21 @@ def test_precondition_exit_code(capsys):
 
 
 def test_inconclusive_exit_code(capsys):
-    code, out, _ = invoke(capsys, "hilbert", "--vars", "2", "--max-degree", "4", "x1*x2")
+    code, out, _ = invoke(capsys, "hilbert", "--vars", "2", "--max-degree", "4", "x1^2+x2^2")
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "flags,text",
+    [(["--vars", "2"], "x1*x2"), (["--vars", "3", "--max-degree", "20"], "x1*x2+x3^2, x2*x3")],
+)
+def test_axis_certificate_proves_not_artin(capsys, flags, text):
+    # no generator has a pure power of some variable: proven, not cap-limited
+    code, out, err = invoke(capsys, "is-ag", *flags, text)
+    assert (code, out, err) == (0, "-2\n", "")
+    code, out, err = invoke(capsys, "socle", *flags, text)
+    assert (code, out) == (3, "-1\n")
+    assert err == "error: quotient is not Artinian (proven)\n"
 
 
 def test_module_degree_above_cap_exits_inconclusive(capsys):

@@ -7,6 +7,8 @@ echelon of all products x^a * g_j; every orthogonal complement must equal the
 tracked-kernel one; and the consumers that read those spans and complements
 (Artin search, minimal generators, socle, type, level, annihilator, inverse
 system) must agree with the versions in ``oracle`` that solve each afresh.
+Handles built with seeded caches must agree with fresh handles on the same
+generators.
 """
 
 import pytest
@@ -118,6 +120,22 @@ def test_consumers_match_oracle(n, char):
 
 
 @pytest.mark.parametrize("n,char", GRID)
+def test_seeded_handles_match_fresh_ones(n, char):
+    for module in modules(n, char):
+        ann = ideal_ann(module)  # status seeded, never searched
+        assert analyze_artin(ann) == oracle.artin_status(IdealHandle(ann.ring, ann.generators))
+    for ideal in artin_ideals(n, char):
+        s = require_artin(ideal)
+        if s >= 1:
+            colon = IdealHandle(ideal.ring, socle_ideal(ideal))
+            assert analyze_artin(colon).socle_degree == s - 1
+        for action in actions(char):
+            dual = inv_syst(ideal, action)  # closure seeded from the perp
+            fresh = SubmoduleHandle(ideal.ring, dual.generators, action)
+            assert dual.closure() == oracle.closure(fresh), action
+
+
+@pytest.mark.parametrize("n,char", GRID)
 def test_perp_matches_kernel_oracle(n, char):
     for ideal in artin_ideals(n, char):
         for b in range(require_artin(ideal) + 1):
@@ -149,10 +167,12 @@ def test_module_generators_match_oracle(n, char):
 @pytest.mark.parametrize(
     "nvars,cap,texts",
     [
-        (3, 4, ["x1*x2+x3^2", "x2*x3"]),  # every variable used: cap exhaustion
+        (3, 4, ["x1^2+x3^2", "x2^2+x3^2"]),  # a pure power of every variable: cap exhaustion
         (2, 3, ["x1^4", "x2^4+x1*x2"]),  # Artinian only above the cap
         (3, 6, ["x1^2", "x2^3"]),  # x3 unused: proven
         (3, 6, ["x1^2", "x2^2+x1*x3", "x3^3"]),
+        (3, 6, ["x1*x2+x3^2", "x2*x3"]),  # no pure power of x1 or x2: proven
+        (3, 6, ["x1^3+x1*x2", "x2^2*x3+x3^5", "x1*x3"]),  # none of x2: proven
     ],
 )
 def test_status_matches_oracle_under_small_cap(nvars, cap, texts):
