@@ -8,7 +8,8 @@ content as the text mode.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 precondition
 violation (for example a non-Artinian input where an Artinian one is
-required), 4 inconclusive (the Artinianity search exhausted the degree cap).
+required), 4 inconclusive (the Artinianity search exhausted the degree cap,
+or a module frame exceeds it).
 
 Generator input arguments are resolved in order: "-" reads stdin, an
 existing file path reads that file, anything else is taken as inline text.
@@ -24,7 +25,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import fixtures as fixture_store
 from .artin import (
@@ -81,89 +82,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_ring_flags(sub):
-    sub.add_argument("--vars", type=int, required=True, help="number of variables")
-    sub.add_argument("--char", type=int, default=0, help="characteristic (0 or prime)")
-    sub.add_argument(
-        "--action",
-        choices=sorted(_ACTION_ALIASES),
-        default=None,
-        help="module action (default: der in char 0, cont in char p)",
-    )
-    sub.add_argument(
-        "--max-degree",
-        type=int,
-        default=64,
-        help="degree cap for Artinianity searches (default 64)",
-    )
-    _add_format(sub, help="output mode (default text)")
-
-
-def _add_format(sub, **kw):
-    sub.add_argument("--format", choices=["text", "json"], default="text", **kw)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="invsys", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, help_text, handler, inputs=0, ring=True, extra=None):
-        sub = subs.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler)
-        for k in range(inputs):
-            sub.add_argument(
-                f"input{k + 1}" if inputs > 1 else "input",
-                help="generators: inline text, a file path, or - for stdin",
-            )
-        if ring:
-            _add_ring_flags(sub)
-        if extra:
-            extra(sub)
-        if not ring:
-            _add_format(sub)
-        return sub
-
-    cmd("is-ag", "-2 not Artin / -1 not Gorenstein / socle degree", _run_classifier, 1)
-    cmd("is-level", "-2 not Artin / -1 not level / socle degree", _run_classifier, 1)
-    cmd("cm-type", "Cohen-Macaulay type, -1 if not Artin", _run_classifier, 1)
-    cmd("socle", "minimal generators of the colon ideal (I : m)", _run_socle, 1)
-    cmd("hilbert", "Hilbert function of R/I", _run_hilbert, 1)
-    cmd("inv-syst", "minimal generators of the inverse system of an Artin ideal", _run_inv_syst, 1)
-    cmd("ideal-ann", "minimal generators of the annihilator ideal of a submodule of S", _run_ideal_ann, 1)
-    cmd("min-gens-ih", "minimal generators of a submodule of S", _run_min_gens, 1)
-    cmd("eq-ideal", "1 if the two Artin ideals are equal, else 0", _run_eq_ideal, 2)
-    cmd("member-ih", "1 if the polynomial (first input) lies in the submodule (second input)",
-        _run_module_predicate, 2)
-    cmd("sub-mod-ih", "1 if the first submodule is contained in the second", _run_module_predicate, 2)
-    cmd("eq-mod-ih", "1 if the two submodules are equal, else 0", _run_module_predicate, 2)
-    cmd("colon", "h with h o f = g for single polynomials f, g; prints 0 if none", _run_colon, 2)
-
-    def genpol_extra(sub):
-        sub.add_argument("--deg-min", type=int, required=True)
-        sub.add_argument("--deg-max", type=int, required=True)
-        sub.add_argument("--bound", type=int, required=True, help="coefficients drawn from [-bound, bound]")
-        sub.add_argument("--seed", type=int, default=0)
-
-    cmd("gen-pol", "reproducible random polynomial", _run_gen_pol, extra=genpol_extra)
-
-    def j_extra(sub):
-        sub.add_argument("--j", type=Fraction, required=True, help="rational j value, e.g. 5 or 6912/31")
-
-    def verify_extra(sub):
-        sub.add_argument("--j", type=Fraction, default=Fraction(2), help="modulus for the generic elliptic row")
-
-    def replay_extra(sub):
-        sub.add_argument("--dir", default=None, help="fixture directory (default: the shipped fixtures)")
-
-    cmd("weierstrass-j", "cubic with the given j moduli", _run_weierstrass, ring=False, extra=j_extra)
-    cmd("ideal-wj", "quadric ideal whose inverse system is the j-moduli cubic", _run_ideal_wj,
-        ring=False, extra=j_extra)
-    cmd("verify-classification", "machine-check the eight {1,3,3,1} table rows", _run_verify_classification,
-        ring=False, extra=verify_extra)
-    cmd("replay-fixtures", "re-run the recorded session fixtures", _run_replay, ring=False, extra=replay_extra)
-    return parser
-
-
 # ---------------------------------------------------------------------------
 # input handling
 # ---------------------------------------------------------------------------
@@ -198,11 +116,14 @@ def _parse_gens(arg: str, ring: Ring) -> list[Poly]:
     return [parse_poly(t, ring) for t in _split_generators(_resolve_input(arg))]
 
 
-def _parse_single(arg: str, ring: Ring) -> Poly:
-    gens = _parse_gens(arg, ring)
+def _single(ring: Ring, gens: list[Poly]) -> Poly:
     if len(gens) != 1:
         raise ValueError(f"expected exactly one polynomial, got {len(gens)}")
     return gens[0]
+
+
+def _operand_names(count: int) -> list[str]:
+    return ["input"] if count == 1 else [f"input{k + 1}" for k in range(count)]
 
 
 def _make_ring(args) -> Ring:
@@ -211,12 +132,12 @@ def _make_ring(args) -> Ring:
 
 
 # ---------------------------------------------------------------------------
-# output handling
+# output handling: each shape maps an answer to (JSON result, text lines)
 # ---------------------------------------------------------------------------
 
 
 def _emit(args, ring_desc, action, result, diagnostics, text_lines) -> None:
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         doc = {
             "schemaVersion": 1,
             "command": args.command,
@@ -231,13 +152,6 @@ def _emit(args, ring_desc, action, result, diagnostics, text_lines) -> None:
             print(line)
 
 
-def _emit_gens(args, ring_desc, action, gens, diagnostics) -> int:
-    result = {"generators": [format_poly(g) for g in gens]}
-    lines = [f"g[{k + 1}]={text}" for k, text in enumerate(result["generators"])]
-    _emit(args, ring_desc, action, result, diagnostics, lines)
-    return EXIT_OK
-
-
 def _artin_diagnostics(ideal: IdealHandle) -> dict:
     status = analyze_artin(ideal)
     return {
@@ -248,117 +162,73 @@ def _artin_diagnostics(ideal: IdealHandle) -> dict:
     }
 
 
-def _verdict_exit(ideal: IdealHandle) -> int:
-    """0 for any proven verdict, 4 when not-Artin rests on cap exhaustion."""
-    status = analyze_artin(ideal)
-    if not status.artin and not status.proven:
-        print(
-            f"warning: not Artinian within degree cap {status.cap}; verdict inconclusive",
-            file=sys.stderr,
-        )
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+def _verdict(value) -> tuple:
+    return int(value), [str(int(value))]
 
 
-# ---------------------------------------------------------------------------
-# command handlers
-# ---------------------------------------------------------------------------
+def _generators(gens: list[Poly]) -> tuple:
+    texts = [format_poly(g) for g in gens]
+    return {"generators": texts}, [f"g[{k + 1}]={text}" for k, text in enumerate(texts)]
 
 
-def _ring_desc(ring: Ring) -> dict:
-    return {"vars": ring.nvars, "char": ring.char}
+def _values(values: list[int]) -> tuple:
+    return {"values": values}, [",".join(str(v) for v in values)]
 
 
-def _run_classifier(args) -> int:
-    ring = _make_ring(args)
-    ideal = IdealHandle(ring, _parse_gens(args.input, ring))
-    value = {"is-ag": is_ag, "is-level": is_level, "cm-type": cm_type}[args.command](ideal)
-    _emit(args, _ring_desc(ring), None, value, _artin_diagnostics(ideal), [str(value)])
-    return _verdict_exit(ideal)
-
-
-def _run_socle(args) -> int:
-    ring = _make_ring(args)
-    ideal = IdealHandle(ring, _parse_gens(args.input, ring))
-    try:
-        gens = socle_ideal(ideal)
-    except NotArtinError:
-        # classical convention: print -1 for a non-Artinian input; run()
-        # reports the error and picks the exit code
-        _emit(args, _ring_desc(ring), None, -1, _artin_diagnostics(ideal), ["-1"])
-        raise
-    return _emit_gens(args, _ring_desc(ring), None, gens, _artin_diagnostics(ideal))
-
-
-def _run_hilbert(args) -> int:
-    ring = _make_ring(args)
-    ideal = IdealHandle(ring, _parse_gens(args.input, ring))
-    values = hilbert(ideal)
-    text = ",".join(str(v) for v in values)
-    _emit(args, _ring_desc(ring), None, {"values": values}, _artin_diagnostics(ideal), [text])
-    return EXIT_OK
-
-
-def _run_inv_syst(args) -> int:
-    ring = _make_ring(args)
-    ideal = IdealHandle(ring, _parse_gens(args.input, ring))
-    module = inv_syst(ideal)
-    return _emit_gens(
-        args, _ring_desc(ring), ring.default_action, module.generators, _artin_diagnostics(ideal)
-    )
-
-
-def _run_ideal_ann(args) -> int:
-    ring = _make_ring(args)
-    ann = ideal_ann(SubmoduleHandle(ring, _parse_gens(args.input, ring)))
-    return _emit_gens(
-        args, _ring_desc(ring), ring.default_action, ann.generators, _artin_diagnostics(ann)
-    )
-
-
-def _run_min_gens(args) -> int:
-    ring = _make_ring(args)
-    module = SubmoduleHandle(ring, _parse_gens(args.input, ring))
-    return _emit_gens(args, _ring_desc(ring), ring.default_action, min_gens_ih(module), {})
-
-
-def _run_eq_ideal(args) -> int:
-    ring = _make_ring(args)
-    a = IdealHandle(ring, _parse_gens(args.input1, ring))
-    b = IdealHandle(ring, _parse_gens(args.input2, ring))
-    value = int(eq_ideal(a, b))
-    _emit(args, _ring_desc(ring), None, value, {}, [str(value)])
-    return EXIT_OK
-
-
-def _run_module_predicate(args) -> int:
-    ring = _make_ring(args)
-    if args.command == "member-ih":
-        g = _parse_single(args.input1, ring)
-        value = int(member_ih(g, SubmoduleHandle(ring, _parse_gens(args.input2, ring))))
-    else:
-        a = SubmoduleHandle(ring, _parse_gens(args.input1, ring))
-        b = SubmoduleHandle(ring, _parse_gens(args.input2, ring))
-        value = int(sub_mod_ih(a, b) if args.command == "sub-mod-ih" else eq_mod_ih(a, b))
-    _emit(args, _ring_desc(ring), ring.default_action, value, {}, [str(value)])
-    return EXIT_OK
-
-
-def _run_colon(args) -> int:
-    ring = _make_ring(args)
-    f = _parse_single(args.input1, ring)
-    g = _parse_single(args.input2, ring)
-    h = colon_inv_syst(f, g)
+def _colon_answer(h: Optional[Poly]) -> tuple:
     text = format_poly(h) if h is not None else "0"
-    result = {"exists": h is not None, "poly": text}
-    _emit(args, _ring_desc(ring), ring.default_action, result, {}, [text])
+    return {"exists": h is not None, "poly": text}, [text]
+
+
+# ---------------------------------------------------------------------------
+# command handlers: one for every ring command, one for each other command
+# ---------------------------------------------------------------------------
+
+
+class _Row(NamedTuple):
+    """A ring command.  ``call`` is a lambda so that it looks up cli's names
+    when it runs: bench/layertrace.py patches module-level names."""
+
+    help: str
+    operands: tuple  # one kind per operand: IdealHandle, SubmoduleHandle or _single
+    call: Callable
+    shape: Callable
+    action: bool = False  # the JSON "action" is the ring's default action, else null
+    artin: str = ""  # diagnostics on the Artinianity of the "input" ideal or of the "answer"
+    minus_one: bool = False  # prints -1 on a non-Artinian input before run() reports it
+
+
+def _run_ring_command(args) -> int:
+    row = _RING_COMMANDS[args.command]
+    ring = _make_ring(args)
+    texts = [getattr(args, name) for name in _operand_names(len(row.operands))]
+    operands = [kind(ring, _parse_gens(text, ring)) for kind, text in zip(row.operands, texts)]
+    ring_desc = {"vars": ring.nvars, "char": ring.char}
+    action = ring.default_action if row.action else None
+    try:
+        answer = row.call(*operands)
+    except NotArtinError:
+        if row.minus_one:
+            # classical convention; run() reports the error and picks the exit code
+            _emit(args, ring_desc, action, -1, _artin_diagnostics(operands[0]), ["-1"])
+        raise
+    diagnostics = {}
+    if row.artin:
+        diagnostics = _artin_diagnostics(answer if row.artin == "answer" else operands[0])
+    result, lines = row.shape(answer)
+    _emit(args, ring_desc, action, result, diagnostics, lines)
+    # only a classifier returns on a cap-limited input; the other commands raise
+    if diagnostics and not diagnostics["artin"] and not diagnostics["proven"]:
+        cap = diagnostics["cap"]
+        print(f"warning: not Artinian within degree cap {cap}; verdict inconclusive", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
 def _run_gen_pol(args) -> int:
     ring = _make_ring(args)
     text = format_poly(gen_pol(ring, args.deg_min, args.deg_max, args.bound, args.seed))
-    _emit(args, _ring_desc(ring), None, {"poly": text}, {"seed": args.seed}, [text])
+    _emit(args, {"vars": ring.nvars, "char": ring.char}, None, {"poly": text}, {"seed": args.seed}, [text])
     return EXIT_OK
 
 
@@ -369,8 +239,9 @@ def _run_weierstrass(args) -> int:
 
 
 def _run_ideal_wj(args) -> int:
-    gens = ideal_wj(args.j).generators
-    return _emit_gens(args, {"vars": 3, "char": 0}, None, gens, {"j": str(args.j)})
+    result, lines = _generators(ideal_wj(args.j).generators)
+    _emit(args, {"vars": 3, "char": 0}, None, result, {"j": str(args.j)}, lines)
+    return EXIT_OK
 
 
 def _run_verify_classification(args) -> int:
@@ -406,6 +277,90 @@ def _run_replay(args) -> int:
     result = {"checks": results, "allPassed": all_passed}
     _emit(args, None, None, result, {}, lines)
     return EXIT_OK if all_passed else EXIT_PRECONDITION
+
+
+# ---------------------------------------------------------------------------
+# the command table; the parser is read off it
+# ---------------------------------------------------------------------------
+
+_RING_COMMANDS = {
+    "is-ag": _Row("-2 not Artin / -1 not Gorenstein / socle degree",
+                  (IdealHandle,), lambda i: is_ag(i), _verdict, artin="input"),
+    "is-level": _Row("-2 not Artin / -1 not level / socle degree",
+                     (IdealHandle,), lambda i: is_level(i), _verdict, artin="input"),
+    "cm-type": _Row("Cohen-Macaulay type, -1 if not Artin",
+                    (IdealHandle,), lambda i: cm_type(i), _verdict, artin="input"),
+    "socle": _Row("minimal generators of the colon ideal (I : m)",
+                  (IdealHandle,), lambda i: socle_ideal(i), _generators, artin="input", minus_one=True),
+    "hilbert": _Row("Hilbert function of R/I",
+                    (IdealHandle,), lambda i: hilbert(i), _values, artin="input"),
+    "inv-syst": _Row("minimal generators of the inverse system of an Artin ideal",
+                     (IdealHandle,), lambda i: inv_syst(i).generators, _generators, action=True, artin="input"),
+    "ideal-ann": _Row("minimal generators of the annihilator ideal of a submodule of S",
+                      (SubmoduleHandle,), lambda m: ideal_ann(m), lambda ann: _generators(ann.generators),
+                      action=True, artin="answer"),
+    "min-gens-ih": _Row("minimal generators of a submodule of S",
+                        (SubmoduleHandle,), lambda m: min_gens_ih(m), _generators, action=True),
+    "eq-ideal": _Row("1 if the two Artin ideals are equal, else 0",
+                     (IdealHandle, IdealHandle), lambda a, b: eq_ideal(a, b), _verdict),
+    "member-ih": _Row("1 if the polynomial (first input) lies in the submodule (second input)",
+                      (_single, SubmoduleHandle), lambda g, m: member_ih(g, m), _verdict, action=True),
+    "sub-mod-ih": _Row("1 if the first submodule is contained in the second", (SubmoduleHandle, SubmoduleHandle),
+                       lambda a, b: sub_mod_ih(a, b), _verdict, action=True),
+    "eq-mod-ih": _Row("1 if the two submodules are equal, else 0",
+                      (SubmoduleHandle, SubmoduleHandle), lambda a, b: eq_mod_ih(a, b), _verdict, action=True),
+    "colon": _Row("h with h o f = g for single polynomials f, g; prints 0 if none",
+                  (_single, _single), lambda f, g: colon_inv_syst(f, g), _colon_answer, action=True),
+}
+
+_FORMAT_FLAG = ("--format", dict(choices=["text", "json"], default="text"))
+_RING_FLAGS = (
+    ("--vars", dict(type=int, required=True, help="number of variables")),
+    ("--char", dict(type=int, default=0, help="characteristic (0 or prime)")),
+    ("--action", dict(choices=sorted(_ACTION_ALIASES),
+                      help="module action (default: der in char 0, cont in char p)")),
+    ("--max-degree", dict(type=int, default=64,
+                          help="degree cap for Artinianity searches and module frames (default 64)")),
+    ("--format", dict(choices=["text", "json"], default="text", help="output mode (default text)")),
+)
+_J_FLAG = ("--j", dict(type=Fraction, required=True, help="rational j value, e.g. 5 or 6912/31"))
+# name -> (help, handler, flags); these take no generator operands
+_OTHER_COMMANDS = {
+    "gen-pol": ("reproducible random polynomial", _run_gen_pol, _RING_FLAGS + (
+        ("--deg-min", dict(type=int, required=True)),
+        ("--deg-max", dict(type=int, required=True)),
+        ("--bound", dict(type=int, required=True, help="coefficients drawn from [-bound, bound]")),
+        ("--seed", dict(type=int, default=0)),
+    )),
+    "weierstrass-j": ("cubic with the given j moduli", _run_weierstrass, (_J_FLAG, _FORMAT_FLAG)),
+    "ideal-wj": (
+        "quadric ideal whose inverse system is the j-moduli cubic", _run_ideal_wj, (_J_FLAG, _FORMAT_FLAG)
+    ),
+    "verify-classification": ("machine-check the eight {1,3,3,1} table rows", _run_verify_classification, (
+        ("--j", dict(type=Fraction, default=Fraction(2), help="modulus for the generic elliptic row")),
+        _FORMAT_FLAG,
+    )),
+    "replay-fixtures": ("re-run the recorded session fixtures", _run_replay, (
+        ("--dir", dict(help="fixture directory (default: the shipped fixtures)")),
+        _FORMAT_FLAG,
+    )),
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="invsys", description=__doc__.splitlines()[0])
+    subs = parser.add_subparsers(dest="command", required=True)
+    commands = [(name, row.help, _run_ring_command, len(row.operands), _RING_FLAGS)
+                for name, row in _RING_COMMANDS.items()]
+    commands += [(name, text, handler, 0, flags) for name, (text, handler, flags) in _OTHER_COMMANDS.items()]
+    for name, help_text, handler, operands, flags in commands:
+        sub = subs.add_parser(name, help=help_text)
+        sub.set_defaults(handler=handler)
+        for operand in _operand_names(operands):
+            sub.add_argument(operand, help="generators: inline text, a file path, or - for stdin")
+        for flag, options in flags:
+            sub.add_argument(flag, **options)
+    return parser
 
 
 def run(argv: Optional[list[str]] = None) -> int:

@@ -212,6 +212,8 @@ def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[P
     if g.ring != ring:
         raise ValueError("polynomials from different rings")
     d = f.degree()
+    if d > ring.max_degree_cap:
+        raise DegreeCapError(f"module degree {d} exceeds degree cap {ring.max_degree_cap}")
     if g.degree() > d:
         return None
     unknowns = ring.monomials_upto(d)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -197,6 +198,8 @@ def test_module_degree_above_cap_exits_inconclusive(capsys):
     assert "cap 3" in err
     code, out, _ = invoke(capsys, "ideal-ann", "--vars", "2", "--max-degree", "8", "x1^4*x2^4")
     assert (code, out) == (0, "g[1]=x1^5\ng[2]=x2^5\n")
+    code, out, err = invoke(capsys, "colon", "--vars", "2", "--max-degree", "3", "x1^4*x2^4", "x1")
+    assert (code, out, err) == (4, "", "error: module degree 8 exceeds degree cap 3\n")
 
 
 # -- determinism and formats ---------------------------------------------------------------
@@ -249,6 +252,106 @@ def test_json_text_parity_hilbert(capsys):
     assert json.loads(json_out)["result"]["values"] == [
         int(v) for v in text_out.strip().split(",")
     ]
+
+
+def _artin(socle_degree):
+    return {"artin": True, "socleDegree": socle_degree, "proven": True, "cap": 64}
+
+
+Q3, Q2 = {"vars": 3, "char": 0}, {"vars": 2, "char": 0}
+F3, F2 = {"vars": 3, "char": 5}, {"vars": 2, "char": 5}
+CI3 = "x1^2,x2^2,x3^2"
+CONT_FLAG = ("--action", "cont")
+
+# argv, JSON ring, JSON action, JSON diagnostics: one small case per subcommand
+ENVELOPES = [
+    (("is-ag", "--vars", "3", SESSION_3GEN), Q3, None, _artin(4)),
+    (("is-level", "--vars", "3", CI3), Q3, None, _artin(3)),
+    (("cm-type", "--vars", "3", SESSION_4GEN), Q3, None, _artin(3)),
+    (("socle", "--vars", "3", "--char", "5", CI3), F3, None, _artin(3)),
+    (("hilbert", "--vars", "3", CI3), Q3, None, _artin(3)),
+    (("inv-syst", "--vars", "3", CI3), Q3, "der", _artin(3)),
+    (("ideal-ann", "--vars", "3", "x1*x2*x3"), Q3, "der", _artin(3)),
+    (("min-gens-ih", "--vars", "3", *CONT_FLAG, "x1*x2*x3, x2*x3"), Q3, "cont", {}),
+    (("eq-ideal", "--vars", "2", "x1^2, x2^2", "x1^2+x2^2, x2^2"), Q2, None, {}),
+    (("member-ih", "--vars", "3", *CONT_FLAG, "x2", "x2^2"), Q3, "cont", {}),
+    (("sub-mod-ih", "--vars", "3", "--char", "5", "x1*x2", "x1*x2, x3"), F3, "cont", {}),
+    (("eq-mod-ih", "--vars", "3", "x1*x2", "x1*x2, x1"), Q3, "der", {}),
+    (("colon", "--vars", "3", *CONT_FLAG, "x1*x2*x3", "x3"), Q3, "cont", {}),
+    (("gen-pol", "--vars", "2", "--char", "5", "--deg-min", "1", "--deg-max", "2", "--bound", "3", "--seed", "4"),
+     F2, None, {"seed": 4}),
+    (("weierstrass-j", "--j", "0"), Q3, None, {"j": "0"}),
+    (("ideal-wj", "--j", "1"), Q3, None, {"j": "1"}),
+    (("verify-classification",), Q3, "der", {"j": "2"}),
+    (("replay-fixtures",), None, None, {}),
+]
+
+
+def _render(result):
+    """The text-mode lines that carry the same content as a JSON result."""
+    if isinstance(result, int):
+        return [str(result)]
+    if "generators" in result:
+        return [f"g[{k}]={text}" for k, text in enumerate(result["generators"], 1)]
+    if "values" in result:
+        return [",".join(str(v) for v in result["values"])]
+    if "poly" in result:
+        return [result["poly"]]
+    if "rows" in result:
+        rows = result["rows"]
+        lines = [f"row {k} ({r['label']}): {'PASS' if r['passed'] else 'FAIL'}" for k, r in enumerate(rows, 1)]
+        return lines + [f"{sum(r['passed'] for r in rows)}/{len(rows)} rows verified"]
+    checks = result["checks"]
+    lines = [f"{c['fixture']} :: {c['name']}: {'PASS' if c['passed'] else 'FAIL'}" for c in checks]
+    return lines + [f"{sum(c['passed'] for c in checks)}/{len(checks)} fixture checks passed"]
+
+
+@pytest.mark.parametrize("argv,ring,action,diagnostics", ENVELOPES, ids=[e[0][0] for e in ENVELOPES])
+def test_json_envelope_of_every_subcommand(capsys, argv, ring, action, diagnostics):
+    code, text_out, _ = invoke(capsys, *argv)
+    assert code == 0
+    code, json_out, _ = invoke(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(json_out)
+    assert doc["schemaVersion"] == 1
+    envelope = (doc["command"], doc["ring"], doc["action"], doc["diagnostics"])
+    assert envelope == (argv[0], ring, action, diagnostics)
+    assert "\n".join(_render(doc["result"])) + "\n" == text_out
+
+
+RING_FLAGS = {"-h", "--vars", "--char", "--action", "--max-degree", "--format"}
+J_FLAGS = {"-h", "--j", "--format"}
+HELP_FLAGS = {
+    **{
+        cmd: RING_FLAGS | {"input"}
+        for cmd in ("is-ag", "is-level", "cm-type", "socle", "hilbert", "inv-syst", "ideal-ann", "min-gens-ih")
+    },
+    **{
+        cmd: RING_FLAGS | {"input1", "input2"}
+        for cmd in ("eq-ideal", "member-ih", "sub-mod-ih", "eq-mod-ih", "colon")
+    },
+    "gen-pol": RING_FLAGS | {"--deg-min", "--deg-max", "--bound", "--seed"},
+    "weierstrass-j": J_FLAGS,
+    "ideal-wj": J_FLAGS,
+    "verify-classification": J_FLAGS,
+    "replay-fixtures": {"-h", "--dir", "--format"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_every_subcommand_help_lists_its_flags(capsys, command):
+    code, out, err = invoke(capsys, command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: invsys {command} [-h]")
+    # the first spelling of each argument in the positional and options sections
+    assert set(re.findall(r"^  (-[-a-z]+|input\d?)\b", out, re.M)) == HELP_FLAGS[command]
+
+
+def test_contract_cases_cover_every_subcommand(capsys):
+    code, out, _ = invoke(capsys, "--help")
+    commands = re.search(r"\{([a-z,-]+)\}", out).group(1).split(",")
+    assert (code, len(commands)) == (0, 18)
+    assert sorted(argv[0] for argv, *_ in ENVELOPES) == sorted(HELP_FLAGS) == sorted(commands)
 
 
 # -- input plumbing ---------------------------------------------------------------------------

@@ -184,7 +184,12 @@ def test_ideal_ann_rejects_zero_module(r3):
 def test_module_frame_respects_degree_cap():
     ring = Ring(2, 0, max_degree_cap=3)
     high = module(ring, "x1^4*x2^4")
-    for op in (ideal_ann, min_gens_ih, lambda m: eq_mod_ih(m, m)):
+    for op in (
+        ideal_ann,
+        min_gens_ih,
+        lambda m: eq_mod_ih(m, m),
+        lambda m: colon_inv_syst(m.generators[0], parse_poly("x1", ring)),
+    ):
         with pytest.raises(DegreeCapError, match="cap 3"):
             op(high)
     assert min_gens_ih(module(ring, "x1^2*x2", "x1*x2")) == [parse_poly("x1^2*x2", ring)]
