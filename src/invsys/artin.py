@@ -35,19 +35,23 @@ identity (I : m)^perp = m o I^perp holds because f kills m o I^perp iff
 every x_i * f kills I^perp.  So the type is dim I^perp - dim m o I^perp; A
 is level iff m o I^perp fills I^perp cap S_<=s-1, the perp of span_I(s-1);
 and the span of (I : m) at s - 1 is the perp of m o I^perp.
-``maximal_action`` forms m o V from index tables, under either action.
+
+The module side acts on index vectors through one lowering table, which
+``maximal_action`` applies to V's rows for m o V and ``_orbit`` chains to
+form every x^a o g, for a module's closure and the colon's unknowns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DegreeCapError, NotArtinError
 from .linalg import (
     Echelon,
     Frame,
     SubspaceBasis,
+    Vector,
     kernel_of_vectors,  # noqa: F401  unused; the benchmark's tracer looks it up here
     perp_space,
     poly_to_vector,
@@ -164,27 +168,62 @@ def _extended(ring: Ring, ech: Echelon, gens: list[Poly], bound: int) -> tuple[E
     return out, added
 
 
+def _lowering_table(ring: Ring, bound: int, action: str) -> list[dict[int, tuple[int, int]]]:
+    """down[i][j] = (k, w): x_(i+1) o x^b = w * x^(b - e_(i+1)) for monomial j
+    of the <=bound frame, k the index of b - e_(i+1), w = b_(i+1) under
+    differentiation and 1 under contraction."""
+    index = ring.index_of
+    weighted = action == DER
+    down = [{} for _ in range(ring.nvars)]
+    for j, b in enumerate(ring.monomials_upto(bound)):
+        for i, e in enumerate(b):
+            if e:
+                down[i][j] = (index(b[:i] + (e - 1,) + b[i + 1:]), e if weighted else 1)
+    return down
+
+
+def _lowered(down: dict[int, tuple[int, int]], vec: Vector) -> Vector:
+    """x_i o vec from x_i's lowering table; ``Fp * int`` raises, so only a
+    weight other than 1 multiplies."""
+    out = {}
+    for j, c in vec.items():
+        kw = down.get(j)
+        if kw is not None:
+            k, w = kw
+            out[k] = c if w == 1 else c * w
+    return out
+
+
+def _orbit(ring: Ring, vec: Vector, bound: int, action: str) -> Iterator[Vector]:
+    """x^a o vec for every x^a in the <=bound frame, in canonical order.
+
+    x^a o vec = x_i o (x^(a - e_i) o vec) for the first variable x_i of x^a,
+    and the table also lowers x^a to x^(a - e_i), so only the previous
+    degree's vectors are held.
+    """
+    down = _lowering_table(ring, bound, action)
+    yield vec
+    prev, start = [vec], 0
+    for d in range(1, bound + 1):
+        layer = []
+        for j, a in enumerate(ring.monomials_of_degree(d), ring.frame_size(d - 1)):
+            i = next(i for i, e in enumerate(a) if e)
+            layer.append(_lowered(down[i], prev[down[i][j][0] - start]))
+        yield from layer
+        prev, start = layer, ring.frame_size(d - 1)
+
+
 def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
     """Echelon of m o V for a subspace V of S, in the frame one degree lower.
 
-    x_i o x^(a+e_i) = w * x^a with w = a_i + 1 under differentiation and 1
-    under contraction, so the inverted shift tables of the <=bound-1 frame
-    carry each row r to x_i o r.
+    Each row r is carried to every x_i o r by the lowering table.
     """
-    ring, bound = span.frame.ring, span.frame.bound
-    monos = ring.monomials_upto(bound - 1)
-    weighted = action == DER
-    vecs = []
-    for i, up in enumerate(_shift_tables(ring, bound - 1)):
-        down = {j: (k, monos[k][i] + 1) for k, j in enumerate(up)}
-        for row in span.echelon.rows.values():
-            vec = {}
-            for j, c in row.items():
-                if j in down:
-                    k, w = down[j]
-                    vec[k] = c * w if weighted else c
-            if vec:
-                vecs.append(vec)
+    ring = span.frame.ring
+    rows = span.echelon.rows.values()
+    vecs = [
+        vec for down in _lowering_table(ring, span.frame.bound, action)
+        for vec in (_lowered(down, row) for row in rows) if vec
+    ]
     # lowest highest index first: measured fastest for these shifts
     vecs.sort(key=max)
     out = Echelon()

@@ -22,16 +22,18 @@ Each direction is one complement and one seeded constructor, here
 complement's rows, the complement seeded, the Nakayama selection kept.
 
 Submodules are handled by generator lists; the canonical semantic object is
-the closure span, the k-span of all iterated variable actions on the
-generators, cached on the handle.  Its frame is bounded by the ring's degree
-cap.
+the closure span, the k-span of all x^a o g_j, cached on the handle.  Its
+frame is bounded by the ring's degree cap.  The closure and the colon's
+unknowns come from :mod:`invsys.artin`'s lowering table, which forms each
+x^a o g from x^(a - e_i) o g on index vectors; ``apply_action`` only
+re-checks the colon's answer.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .artin import IdealHandle, maximal_action, minimal_ideal, require_artin, truncation_span
+from .artin import IdealHandle, _orbit, maximal_action, minimal_ideal, require_artin, truncation_span
 from .errors import DegreeCapError, VerificationError
 from .linalg import (
     Echelon,
@@ -89,10 +91,8 @@ class SubmoduleHandle:
                 )
             ech = Echelon()
             for g in self.generators:
-                for mono in ring.monomials_upto(g.degree()):
-                    h = apply_action(self.action, Poly.monomial(ring, mono), g)
-                    if not h.is_zero():
-                        ech.insert(poly_to_vector(h))
+                orbit = _orbit(ring, poly_to_vector(g), g.degree(), self.action)
+                ech.insert_all(vec for vec in orbit if vec)
             self._closure = ech
         return self._closure
 
@@ -216,17 +216,12 @@ def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[P
         raise DegreeCapError(f"module degree {d} exceeds degree cap {ring.max_degree_cap}")
     if g.degree() > d:
         return None
-    unknowns = ring.monomials_upto(d)
-    vectors = [
-        poly_to_vector(apply_action(action, Poly.monomial(ring, mono), f))
-        for mono in unknowns
-    ]
-    sol = solve_combination(
-        vectors, poly_to_vector(g), ring.frame_size(d), ring.field.one
-    )
+    # unknown k is the monomial at index k; its vector is x^a o f
+    vectors = _orbit(ring, poly_to_vector(f), d, action)
+    sol = solve_combination(vectors, poly_to_vector(g), ring.frame_size(d), ring.field.one)
     if sol is None:
         return None
-    h = Poly(ring, {unknowns[k]: c for k, c in sol.items()})
+    h = Poly(ring, {ring.monomial_at(k): c for k, c in sol.items()})
     if apply_action(action, h, f) != g:
         raise VerificationError("colon solution fails the check h o f = g")
     return h

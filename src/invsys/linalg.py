@@ -155,12 +155,6 @@ class SubspaceBasis:
         ring = self.frame.ring
         return [vector_to_poly(ring, row) for row in self.echelon.sorted_rows()]
 
-    def extended(self, bound: int) -> "SubspaceBasis":
-        """The same subspace viewed in a larger frame (coordinates are stable)."""
-        if bound < self.frame.bound:
-            raise FrameMismatchError("cannot shrink a frame")
-        return SubspaceBasis(Frame(self.frame.ring, bound), self.echelon.copy())
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SubspaceBasis):
             return self.frame == other.frame and self.echelon == other.echelon
@@ -168,11 +162,6 @@ class SubspaceBasis:
 
     def __repr__(self) -> str:
         return f"SubspaceBasis(dim={self.dim}, {self.frame!r})"
-
-
-def _check_frames(u: SubspaceBasis, v: SubspaceBasis) -> None:
-    if u.frame != v.frame:
-        raise FrameMismatchError(f"frames differ: {u.frame!r} vs {v.frame!r}")
 
 
 def span_of(polys: Sequence[Poly], frame: Frame) -> SubspaceBasis:
@@ -189,36 +178,7 @@ def span_of(polys: Sequence[Poly], frame: Frame) -> SubspaceBasis:
     return SubspaceBasis(frame, ech)
 
 
-def member_space(v: Poly, u: SubspaceBasis) -> bool:
-    if v.ring != u.frame.ring:
-        raise FrameMismatchError("polynomial from a different ring")
-    if v.degree() > u.frame.bound:
-        raise FrameMismatchError(
-            f"degree {v.degree()} exceeds frame bound {u.frame.bound}"
-        )
-    return u.echelon.contains(poly_to_vector(v))
-
-
-def contains_space(u: SubspaceBasis, v: SubspaceBasis) -> bool:
-    """True iff the span of u contains the span of v."""
-    _check_frames(u, v)
-    return all(u.echelon.contains(row) for row in v.echelon.rows.values())
-
-
-def sum_space(u: SubspaceBasis, v: SubspaceBasis) -> SubspaceBasis:
-    _check_frames(u, v)
-    ech = u.echelon.copy()
-    ech.insert_all(dict(row) for row in v.echelon.rows.values())
-    return SubspaceBasis(u.frame, ech)
-
-
-def quotient_dim(u: SubspaceBasis, v: SubspaceBasis) -> int:
-    """dim((U + V) / V)."""
-    _check_frames(u, v)
-    return sum_space(u, v).dim - v.dim
-
-
-def _tracked(vectors: Sequence[Vector], width: int, one: Scalar) -> Echelon:
+def _tracked(vectors: Iterable[Vector], width: int, one: Scalar) -> Echelon:
     """Echelon of the vectors, each tagged with a tracker coordinate width + k."""
     ech = Echelon()
     for k, v in enumerate(vectors):
@@ -243,7 +203,7 @@ def kernel_of_vectors(vectors: Sequence[Vector], width: int, one: Scalar) -> lis
 
 
 def solve_combination(
-    vectors: Sequence[Vector], target: Vector, width: int, one: Scalar
+    vectors: Iterable[Vector], target: Vector, width: int, one: Scalar
 ) -> Optional[Vector]:
     """Coefficients c with sum_k c_k * vectors[k] = target, or None.
 

@@ -137,17 +137,26 @@ class PrimeField:
         return Fp(num, self.p) / Fp(den, self.p)
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic Miller-Rabin; ValueError at or above the exact bound."""
+    if p >= _PRIME_TEST_BOUND:
+        raise ValueError(f"characteristic must be below {_PRIME_TEST_BOUND} to be tested for primality")
+    if p < 2 or any(p % a == 0 for a in _PRIME_BASES):
+        return p in _PRIME_BASES
+    # p - 1 = d * 2^r with d odd; p is a strong probable prime to base a iff
+    # a^d = 1 or a^(d * 2^j) = -1 for some j < r
+    r = ((p - 1) & (1 - p)).bit_length() - 1
+    d = (p - 1) >> r
+    return all(
+        pow(a, d, p) == 1 or any(pow(a, d << j, p) == p - 1 for j in range(r))
+        for a in _PRIME_BASES
+    )
 
 
 def _monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:

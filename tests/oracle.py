@@ -4,16 +4,19 @@ These rebuild every truncation span from all products x^a * g_j, cut off at
 the bound, and test m^d <= I one monomial at a time: no extension from a
 lower bound, no projection from a higher one and no cached spans.  The
 orthogonal complement, the colon ideal and the annihilator are each solved
-as a tracked kernel (``kernel_of_vectors``), a module's closure and m o M
-are formed by applying monomials to polynomials, and the axis certificate
-sets variables to zero.  They share only the echelon and the module actions
-with the library, none of its span builder, read-off complement, index-level
-m o pass or seeded caches, so they can cross-check those.
+as a tracked kernel (``kernel_of_vectors``), and the axis certificate sets
+variables to zero.  A module's closure, m o M and the colon's unknowns are
+formed by applying each monomial to a polynomial with ``apply_action``,
+where the library lowers index vectors through one table.  They share only
+the echelon, the colon's solve and the module actions with the library,
+none of its span builder, read-off complement, lowering table or seeded
+caches, so they can cross-check those.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from invsys import (
     DER,
@@ -28,7 +31,13 @@ from invsys import (
     format_poly,
     top_form,
 )
-from invsys.linalg import Vector, kernel_of_vectors, poly_to_vector, vector_to_poly
+from invsys.linalg import (
+    Vector,
+    kernel_of_vectors,
+    poly_to_vector,
+    solve_combination,
+    vector_to_poly,
+)
 
 
 def product_span(ideal: IdealHandle, bound: int, min_multiplier: int = 0) -> Echelon:
@@ -163,6 +172,21 @@ def closure(module: SubmoduleHandle) -> Echelon:
             if not h.is_zero():
                 ech.insert(poly_to_vector(h))
     return ech
+
+
+def colon(f: Poly, g: Poly, action: str) -> Optional[Poly]:
+    """Some h in R_<=deg f with h o f = g, or None: the library's solve over
+    vectors formed by applying each monomial x^a to f as a polynomial."""
+    ring = f.ring
+    d = f.degree()
+    if g.degree() > d:
+        return None
+    unknowns = ring.monomials_upto(d)
+    vectors = [poly_to_vector(apply_action(action, Poly.monomial(ring, m), f)) for m in unknowns]
+    sol = solve_combination(vectors, poly_to_vector(g), ring.frame_size(d), ring.field.one)
+    if sol is None:
+        return None
+    return Poly(ring, {unknowns[k]: c for k, c in sol.items()})
 
 
 def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:

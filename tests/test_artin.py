@@ -25,6 +25,7 @@ from invsys import (
     socle_ideal,
     truncation_span,
 )
+from invsys.linalg import poly_to_vector
 from conftest import (
     P,
     ideal,
@@ -77,10 +78,8 @@ def test_truncation_span_staircase_count(r3):
 
 
 def test_truncation_span_tail_truncated(r3):
-    from invsys import member_space
-
     u = truncation_span(ideal(r3, "x1^2+x2^3"), 2)
-    assert member_space(P(r3, "x1^2"), u)
+    assert u.echelon.contains(poly_to_vector(P(r3, "x1^2")))
 
 
 def test_truncation_span_cap(r3):
@@ -207,9 +206,8 @@ def test_socle_generating_ideal_contains_input(r3):
     i = ideal(r3, *SESSION_4GEN)
     soc = IdealHandle(r3, socle_ideal(i))
     bound = max(analyze_artin(i).socle_degree, analyze_artin(soc).socle_degree) + 1
-    from invsys import contains_space
-
-    assert contains_space(truncation_span(soc, bound), truncation_span(i, bound))
+    big = truncation_span(soc, bound).echelon
+    assert all(big.contains(row) for row in truncation_span(i, bound).echelon.rows.values())
 
 
 def test_cm_type_examples(r3):

@@ -173,6 +173,12 @@ def test_precondition_exit_code(capsys):
     assert code == 3
 
 
+def test_large_prime_characteristic(capsys):
+    # 2^61 - 1 is prime; the primality check must not trial-divide up to its root
+    args = ("hilbert", "--vars", "2", "--char", str(2**61 - 1), "--action", "cont", "x1^2, x2^2")
+    assert invoke(capsys, *args) == (0, "1,2,1\n", "")
+
+
 def test_inconclusive_exit_code(capsys):
     code, out, _ = invoke(capsys, "hilbert", "--vars", "2", "--max-degree", "4", "x1^2+x2^2")
     assert code == 4

@@ -1,5 +1,6 @@
 """Scalars, parsing/formatting, apolarity actions, sigma, top forms, gen_pol."""
 
+import math
 import random
 import sys
 import threading
@@ -352,6 +353,28 @@ def test_ring_validation():
         Ring(2, 5, default_action=DER)
     assert Ring(2, 5).default_action == CONT
     assert Ring(2, 0).default_action == DER
+
+
+def test_primality_agrees_with_trial_division():
+    from invsys.poly import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+    assert [n for n in range(10**5) if _is_prime(n) != trial(n)] == []
+
+
+def test_primality_rejects_pseudoprimes_and_accepts_large_primes():
+    # Carmichael numbers, and a strong pseudoprime to the bases 2, 3, 5 and 7
+    for n in (561, 41041, 3215031751):
+        with pytest.raises(ValueError, match="prime"):
+            Ring(2, n)
+    assert Ring(2, 2**61 - 1).char == 2**61 - 1
+
+
+def test_primality_bound_is_named():
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        Ring(2, 3317044064679887385961981 + 2)
 
 
 def test_ring_enumeration_grows_safely_across_threads():

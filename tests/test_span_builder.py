@@ -7,8 +7,9 @@ echelon of all products x^a * g_j; every orthogonal complement must equal the
 tracked-kernel one; and the consumers that read those spans and complements
 (Artin search, minimal generators, socle, type, level, annihilator, inverse
 system) must agree with the versions in ``oracle`` that solve each afresh.
-Handles built with seeded caches must agree with fresh handles on the same
-generators.
+Module closures and colon solutions, built by lowering index vectors, must
+agree with the ones built from ``apply_action``.  Handles built with seeded
+caches must agree with fresh handles on the same generators.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from invsys import (
     apply_action,
     closure_span,
     cm_type,
+    colon_inv_syst,
     gen_pol,
     ideal_ann,
     ideal_min_gens,
@@ -162,6 +164,36 @@ def test_module_generators_match_oracle(n, char):
             gens.append(gens[1] + gens[2])
             redundant = SubmoduleHandle(ring, gens, action)
             assert min_gens_ih(redundant) == oracle.min_gens_ih(redundant), action
+
+
+def edge_generators(ring):
+    """A constant, a monomial, a generator some of whose lowerings vanish
+    (x1*x2 kills it), and a constant beside a higher-degree generator."""
+    texts = [["1"], ["x1^3*x2^2"], ["x1^3+x2^2"], ["1", "x1^2+x1*x2"]]
+    return [[parse_poly(t, ring) for t in gens] for gens in texts]
+
+
+@pytest.mark.parametrize("n,char", GRID)
+def test_closure_and_colon_match_action_oracle(n, char):
+    ring = Ring(n, char)
+    gen_lists = [m.generators for m in modules(n, char)] + edge_generators(ring)
+    for gens in gen_lists:
+        f = gens[0]
+        for action in actions(char):
+            fresh = SubmoduleHandle(ring, gens, action)
+            closure = fresh.closure()
+            assert closure == oracle.closure(fresh), (gens, action)
+            lowered = [apply_action(action, Poly.variable(ring, i), f) for i in (1, 2)]
+            outside = next(
+                (Poly.monomial(ring, m) for m in ring.monomials_upto(f.degree())
+                 if not closure.contains({ring.index_of(m): ring.field.one})),
+                None,
+            )
+            targets = lowered + [lowered[0] + lowered[1]] + ([outside] if outside else [])
+            for g in targets:
+                assert colon_inv_syst(f, g, action) == oracle.colon(f, g, action), (f, g, action)
+            if outside is not None:
+                assert colon_inv_syst(f, outside, action) is None
 
 
 @pytest.mark.parametrize(
