@@ -1,4 +1,4 @@
-"""Reduced bases, span ranks, pairing-orthogonal complements."""
+"""Reduced bases, membership, span sums, pairing-orthogonal complements."""
 
 import math
 import random
@@ -46,6 +46,55 @@ def test_span_degree_overflow():
     r = Ring(2, 0)
     with pytest.raises(FrameMismatchError):
         span_of([P(r, "x1^3")], Frame(r, 2))
+
+
+def _member(v, u):
+    return u.echelon.contains(poly_to_vector(v))
+
+
+def test_member_space_basics():
+    r = Ring(2, 0)
+    u = span_of([P(r, "x1")], Frame(r, 1))
+    assert _member(Poly.zero(r), u)
+    assert _member(P(r, "-3*x1"), u)
+    assert not _member(P(r, "x2"), u)
+
+
+def test_member_space_closed_under_combinations():
+    r = Ring(3, 0)
+    rng = random.Random(11)
+    frame = Frame(r, 3)
+    gens = [gen_pol(r, 0, 3, 2, rng.getrandbits(63)) for _ in range(4)]
+    u = span_of(gens, frame)
+    for _ in range(30):
+        combo = Poly.zero(r)
+        for g in gens:
+            combo = combo + g.scaled(rng.randint(-3, 3))
+        assert _member(combo, u)
+
+
+def test_contains_sum_quotient():
+    # containment as membership of every basis row, U + V as the span of
+    # both generator lists, dim((U + V) / V) = dim(U + V) - dim V
+    r = Ring(2, 0)
+    frame = Frame(r, 2)
+    us = [P(r, "x1"), P(r, "x2^2")]
+    u = span_of(us, frame)
+    zero = span_of([], frame)
+
+    def contains(a, b):
+        return all(a.echelon.contains(row) for row in b.echelon.rows.values())
+
+    assert contains(u, u)
+    assert contains(u, zero)
+    assert not contains(zero, u)
+    assert span_of(us, frame).dim - zero.dim == u.dim
+    vs = [P(r, "x1+x2")]
+    v = span_of(vs, frame)
+    w = span_of(us + vs, frame)
+    assert w.dim == 3
+    assert contains(w, u) and contains(w, v)
+    assert w.dim - v.dim == 2
 
 
 def test_rank_nullity_against_brute_force_enumeration():
@@ -153,6 +202,14 @@ def test_perp_derivation_requires_char0():
         perp_space(u, DER)
 
 
+def test_frame_mismatch_errors():
+    r = Ring(2, 0)
+    with pytest.raises(FrameMismatchError):
+        span_of([P(Ring(2, 5), "x1")], Frame(r, 1))
+    with pytest.raises(FrameMismatchError):
+        span_of([P(r, "x1"), P(r, "x1^2")], Frame(r, 1))
+
+
 def test_dimensions_consistent_across_fields():
     # same monomial input over Q, F_5, F_7, F_31: identical dimensions
     dims = []
@@ -181,3 +238,16 @@ def test_echelon_full_reduction_invariant():
         for q in rows:
             if q != p:
                 assert q not in row
+
+
+def test_frame_prefix_embedding():
+    # a smaller frame's coordinates are a prefix of a larger frame's, so the
+    # same polynomials give the same reduced rows in both
+    r = Ring(2, 0)
+    polys = [P(r, "x1+x2^2"), P(r, "x2-3*x1*x2")]
+    small = span_of(polys, Frame(r, 2))
+    big = span_of(polys, Frame(r, 4))
+    assert big.frame.bound == 4
+    assert Frame(r, 4).monomials[: small.frame.size] == small.frame.monomials
+    assert big.echelon.rows == small.echelon.rows
+    assert _member(P(r, "x1+x2^2"), big)
