@@ -111,11 +111,13 @@ class IdealHandle:
         if ech is not None:
             return ech
         ring = self.ring
-        higher = [b for b in spans if b > bound]
+        # a snapshot: another thread may add a bound while these loops run
+        bounds = list(spans)
+        higher = [b for b in bounds if b > bound]
         if higher:
             ech = _projected(spans[min(higher)], ring.frame_size(bound))
         else:
-            start = max((b for b in spans if b < bound), default=0)
+            start = max((b for b in bounds if b < bound), default=0)
             ech = spans.get(start, Echelon())
             for b in range(start + 1, bound + 1):
                 ech, _ = _extended(ring, ech, self.generators, b)
@@ -156,8 +158,9 @@ def _extended(ring: Ring, ech: Echelon, gens: list[Poly], bound: int) -> tuple[E
     """
     shifts = _shift_tables(ring, bound - 1)
     vecs = [{up[k]: c for k, c in row.items()} for row in ech.rows.values() for up in shifts]
-    # highest leads first: each new pivot then lies below every stored row,
-    # which saves most of the back-substitution
+    # highest leads first: a new pivot then mostly lies below every stored
+    # row, where no row holds it; in-process, without this order deep_socle
+    # ran 18% and grid_q 20% slower
     vecs.sort(key=min, reverse=True)
     out = Echelon()
     out.insert_all(vecs)
@@ -224,7 +227,8 @@ def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
         vec for down in _lowering_table(ring, span.frame.bound, action)
         for vec in (_lowered(down, row) for row in rows) if vec
     ]
-    # lowest highest index first: measured fastest for these shifts
+    # lowest highest index first: in-process, deep_socle ran 17% slower
+    # without it (grid_q flat)
     vecs.sort(key=max)
     out = Echelon()
     out.insert_all(vecs)

@@ -43,6 +43,7 @@ from .linalg import (
     poly_to_vector,
     solve_combination,
     span_of,
+    vector_to_poly,
 )
 from .poly import (
     Poly,
@@ -221,7 +222,7 @@ def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[P
     sol = solve_combination(vectors, poly_to_vector(g), ring.frame_size(d), ring.field.one)
     if sol is None:
         return None
-    h = Poly(ring, {ring.monomial_at(k): c for k, c in sol.items()})
+    h = vector_to_poly(ring, sol)
     if apply_action(action, h, f) != g:
         raise VerificationError("colon solution fails the check h o f = g")
     return h

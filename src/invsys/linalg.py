@@ -10,11 +10,24 @@ pivot at its lowest-index coordinate, pivot columns are distinct, and every
 row is reduced against every other.  The representation is unique per
 subspace, which makes subspace equality literal equality of the row maps and
 keeps all outputs deterministic.
+
+``Echelon.insert`` back-substitutes a new row only into the rows that hold
+its pivot column, found through a column index (each non-pivot column mapped
+to the set of pivots whose rows hold it).
+
+Over Q a vector scalar is an ``int`` when it is integral and a ``Fraction``
+otherwise, so most arithmetic runs on machine-backed ints.  The boundary is
+two functions: ``poly_to_vector`` normalises ``Poly`` coefficients on the
+way in, and ``vector_to_poly`` coerces back into the field, so ``Poly``
+coefficients stay ``Fraction``.  Inside, only ``insert`` divides, through
+``_div``, which never lets int / int become a float.  Over F_p scalars are
+``Fp`` residues throughout.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import FrameMismatchError
@@ -23,12 +36,27 @@ from .poly import DER, Monomial, Poly, Ring, Scalar, check_action
 Vector = dict[int, Scalar]
 
 
+def _scalar(c: Scalar) -> Scalar:
+    """A vector scalar: an integral ``Fraction`` becomes its ``int``."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _div(a: Scalar, b: Scalar) -> Scalar:
+    """a / b as a vector scalar; int / int goes through divmod, never a float."""
+    if type(a) is int and type(b) is int:
+        q, m = divmod(a, b)
+        return Fraction(a, b) if m else q
+    return _scalar(a / b)
+
+
 def poly_to_vector(p: Poly) -> Vector:
-    return {p.ring.index_of(m): c for m, c in p.terms.items()}
+    index = p.ring.index_of
+    return {index(m): _scalar(c) for m, c in p.terms.items()}
 
 
 def vector_to_poly(ring: Ring, vec: Vector) -> Poly:
-    return Poly(ring, {ring.monomial_at(i): c for i, c in vec.items()})
+    at, coerce = ring.monomial_at, ring.field.coerce
+    return Poly(ring, {at(i): coerce(c) for i, c in vec.items()})
 
 
 class Echelon:
@@ -38,20 +66,36 @@ class Echelon:
     stored as ``{pivot_index: row_dict}`` with unit pivots; full reduction is
     maintained on insertion, so the final rows are independent of insertion
     order.
+
+    ``insert`` keeps a column index, each non-pivot column mapped to the set
+    of pivots whose rows hold it, so back-substitution visits only those
+    rows.  Assigning ``rows`` drops the index and the next ``insert``
+    rebuilds it; ``reduce`` and ``contains`` never touch it, so an echelon
+    that is only read can be shared between threads.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("_rows", "_cols")
 
     def __init__(self):
-        self.rows: dict[int, Vector] = {}
+        self._rows: dict[int, Vector] = {}
+        self._cols: Optional[dict[int, set[int]]] = {}
+
+    @property
+    def rows(self) -> dict[int, Vector]:
+        return self._rows
+
+    @rows.setter
+    def rows(self, rows: dict[int, Vector]) -> None:
+        self._rows = rows
+        self._cols = None
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     def copy(self) -> "Echelon":
         dup = Echelon()
-        dup.rows = {p: dict(row) for p, row in self.rows.items()}
+        dup.rows = {p: dict(row) for p, row in self._rows.items()}
         return dup
 
     def reduce(self, vec: Vector) -> Vector:
@@ -61,7 +105,7 @@ class Echelon:
         input is complete: subtracted rows only introduce non-pivot indices.
         """
         out = dict(vec)
-        rows = self.rows
+        rows = self._rows
         for p in [p for p in out if p in rows]:
             c = out.get(p)
             if not c:
@@ -83,20 +127,35 @@ class Echelon:
         r = self.reduce(vec)
         if not r:
             return None
+        rows, cols = self._rows, self._cols
+        if cols is None:
+            cols = self._cols = {}
+            for q, row in rows.items():
+                for k in row:
+                    if k != q:
+                        cols.setdefault(k, set()).add(q)
         p = min(r)
         inv = r[p]
-        newrow = {k: v / inv for k, v in r.items()}
-        for row in self.rows.values():
-            c = row.get(p)
-            if c:
-                for k, v in newrow.items():
-                    s = row.get(k)
-                    s = -(c * v) if s is None else s - c * v
+        newrow = {k: _div(v, inv) for k, v in r.items()}
+        tail = [(k, v) for k, v in newrow.items() if k != p]
+        for k, _ in tail:
+            cols.setdefault(k, set()).add(p)
+        for q in cols.pop(p, ()):
+            row = rows[q]
+            c = row.pop(p)
+            for k, v in tail:
+                s = row.get(k)
+                if s is None:
+                    row[k] = _scalar(-(c * v))
+                    cols[k].add(q)
+                else:
+                    s = s - c * v
                     if s:
-                        row[k] = s
+                        row[k] = _scalar(s)
                     else:
                         del row[k]
-        self.rows[p] = newrow
+                        cols[k].discard(q)
+        rows[p] = newrow
         return p
 
     def insert_all(self, vecs: Iterable[Vector]) -> None:
@@ -104,11 +163,11 @@ class Echelon:
             self.insert(v)
 
     def sorted_rows(self) -> list[Vector]:
-        return [self.rows[p] for p in sorted(self.rows)]
+        return [self._rows[p] for p in sorted(self._rows)]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Echelon):
-            return self.rows == other.rows
+            return self._rows == other._rows
         return NotImplemented
 
 
@@ -181,6 +240,7 @@ def span_of(polys: Sequence[Poly], frame: Frame) -> SubspaceBasis:
 def _tracked(vectors: Iterable[Vector], width: int, one: Scalar) -> Echelon:
     """Echelon of the vectors, each tagged with a tracker coordinate width + k."""
     ech = Echelon()
+    one = _scalar(one)
     for k, v in enumerate(vectors):
         w = dict(v)
         w[width + k] = one
@@ -233,19 +293,20 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     ring = u.frame.ring
     check_action(ring, action)
     rows = u.echelon.rows
-    kernel = {f: {f: ring.field.one} for f in range(u.frame.size) if f not in rows}
+    one = _scalar(ring.field.one)
+    kernel = {f: {f: one} for f in range(u.frame.size) if f not in rows}
     for p, row in rows.items():
         for f, c in row.items():
             if f != p:
                 kernel[f][p] = -c
     ech = Echelon()
-    # sparsest first, then from the highest column down: measured the
-    # steadiest order across span, closure and colon complements
+    # sparsest first, then from the highest column down: in column order the
+    # complements of m o I^perp took 1.4-2.5 times as long
     ech.insert_all(sorted(kernel.values(), key=lambda v: (len(v), -max(v))))
     if action == DER:
         weight = [math.prod(map(math.factorial, m)) for m in u.frame.monomials]
         ech.rows = {
-            p: {k: c * ring.field.from_ratio(weight[p], weight[k]) for k, c in row.items()}
+            p: {k: _scalar(c * ring.field.from_ratio(weight[p], weight[k])) for k, c in row.items()}
             for p, row in ech.rows.items()
         }
     return SubspaceBasis(u.frame, ech)

@@ -11,6 +11,10 @@ where the library lowers index vectors through one table.  They share only
 the echelon, the colon's solve and the module actions with the library,
 none of its span builder, read-off complement, lowering table or seeded
 caches, so they can cross-check those.
+
+The echelon itself is checked against ``rref``: dense Gauss-Jordan
+elimination over the field's own scalars, with no column index and no
+integral scalars held as ints.
 """
 
 from __future__ import annotations
@@ -38,6 +42,29 @@ from invsys.linalg import (
     solve_combination,
     vector_to_poly,
 )
+
+
+def rref(vectors: list[Vector], field) -> dict[int, Vector]:
+    """The reduced row-echelon form of the vectors' span, as ``Echelon.rows``
+    holds it: {pivot: row}, each row's unit pivot at its lowest index and
+    every other row zero there.  Dense Gauss-Jordan, column by column."""
+    width = 1 + max((k for v in vectors for k in v), default=-1)
+    mat = [[field.coerce(v.get(k, 0)) for k in range(width)] for v in vectors]
+    pivots = []
+    for col in range(width):
+        rank = len(pivots)
+        hit = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if hit is None:
+            continue
+        mat[rank], mat[hit] = mat[hit], mat[rank]
+        inv = mat[rank][col]
+        mat[rank] = [c / inv for c in mat[rank]]
+        for i, row in enumerate(mat):
+            if i != rank and row[col]:
+                f = row[col]
+                mat[i] = [a - f * b for a, b in zip(row, mat[rank])]
+        pivots.append(col)
+    return {col: {k: c for k, c in enumerate(mat[i]) if c} for i, col in enumerate(pivots)}
 
 
 def product_span(ideal: IdealHandle, bound: int, min_multiplier: int = 0) -> Echelon:
@@ -186,7 +213,7 @@ def colon(f: Poly, g: Poly, action: str) -> Optional[Poly]:
     sol = solve_combination(vectors, poly_to_vector(g), ring.frame_size(d), ring.field.one)
     if sol is None:
         return None
-    return Poly(ring, {unknowns[k]: c for k, c in sol.items()})
+    return Poly(ring, {unknowns[k]: ring.field.coerce(c) for k, c in sol.items()})
 
 
 def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
@@ -233,6 +260,6 @@ def ideal_ann(module: SubmoduleHandle) -> list[Poly]:
                 combined[j * m1 + ring.index_of(m)] = c
         vectors.append(combined)
     kernel = kernel_of_vectors(vectors, len(module.generators) * m1, ring.field.one)
-    gens = [Poly(ring, {monos[k]: c for k, c in vec.items()}) for vec in kernel]
+    gens = [Poly(ring, {monos[k]: ring.field.coerce(c) for k, c in vec.items()}) for vec in kernel]
     gens += [Poly.monomial(ring, m) for m in ring.monomials_of_degree(d + 1)]
     return min_gens(IdealHandle(ring, gens), socle_degree=d)

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -88,6 +90,42 @@ def test_truncation_span_cap(r3):
 
     with pytest.raises(DegreeCapError):
         truncation_span(ideal(r, "x1"), 5)
+
+
+def test_spans_extend_safely_across_threads():
+    # four threads build the spans of one handle, two up and two down, while
+    # a tiny switch interval makes them interleave inside the cache lookups
+    gens = ["x1^5+x2^4*x3", "x2^6+x1^3*x3^2", "x3^7+x1^2*x2^3"]
+    up = list(range(1, 12))
+    orders = (up, up[::-1], up, up[::-1])
+    fresh = ideal(Ring(3, 0), *gens)
+    expected = [fresh._span_echelon(b).rows for b in up]
+    trials = 40
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(trials):
+            handle = ideal(Ring(3, 0), *gens)
+            start = threading.Barrier(len(orders))
+            errors = []
+
+            def build(order):
+                start.wait()
+                try:
+                    for b in order:
+                        truncation_span(handle, b)
+                except Exception as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=build, args=(order,)) for order in orders]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert errors == []
+            assert [handle._span_echelon(b).rows for b in up] == expected
+    finally:
+        sys.setswitchinterval(old)
 
 
 # -- powers of the maximal ideal ------------------------------------------------

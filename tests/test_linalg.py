@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -9,6 +10,7 @@ from invsys import (
     CONT,
     DER,
     CharacteristicError,
+    Echelon,
     Frame,
     FrameMismatchError,
     Poly,
@@ -18,8 +20,10 @@ from invsys import (
     perp_space,
     span_of,
 )
-from invsys.linalg import poly_to_vector
+from invsys.artin import _projected
+from invsys.linalg import SubspaceBasis, poly_to_vector
 from conftest import P, all_combinations, staircase
+import oracle
 
 
 def test_span_empty_is_zero_subspace():
@@ -251,3 +255,61 @@ def test_frame_prefix_embedding():
     assert Frame(r, 4).monomials[: small.frame.size] == small.frame.monomials
     assert big.echelon.rows == small.echelon.rows
     assert _member(P(r, "x1+x2^2"), big)
+
+
+def _check_scalars(vecs, ring):
+    # no scalar is a float, and over Q an integral scalar is an int
+    values = [c for v in vecs for c in v.values()]
+    assert not any(isinstance(c, float) for c in values)
+    if ring.char == 0:
+        assert all(type(c) is int or c.denominator != 1 for c in values)
+
+
+def _check_against_dense(ech, vecs, frame):
+    # the rows are the dense reference's, with vector scalars, and over Q the
+    # Poly coefficients read back are Fractions
+    ring = frame.ring
+    assert ech.rows == oracle.rref(vecs, ring.field)
+    _check_scalars(ech.rows.values(), ring)
+    if ring.char == 0:
+        coeffs = [c for f in SubspaceBasis(frame, ech).row_polys() for c in f.terms.values()]
+        assert all(type(c) is Fraction for c in coeffs)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_echelon_matches_dense_reference(char):
+    # random sparse inserts led by +-2 or 3, so rows hold proper fractions;
+    # then rows assigned from outside (copy, projection, DER complement)
+    # and inserted into again
+    r = Ring(3, char)
+    frame = Frame(r, 3)
+    rng = random.Random(59)
+    coeffs = (1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-4, 3))
+
+    def vec(width=frame.size):
+        ks = sorted(rng.sample(range(width), rng.randint(1, min(6, width))))
+        cs = [rng.choice((2, -2, 3))] + [rng.choice(coeffs) for _ in ks[1:]]
+        return poly_to_vector(Poly(r, {r.monomial_at(k): r.field.coerce(c) for k, c in zip(ks, cs)}))
+
+    for _ in range(40):
+        vecs = [vec() for _ in range(rng.randint(1, 25))]
+        _check_scalars(vecs, r)
+        ech = Echelon()
+        ech.insert_all(vecs)
+        _check_against_dense(ech, vecs, frame)
+        more = [vec() for _ in range(6)]
+        dup = ech.copy()
+        dup.insert_all(more)
+        _check_against_dense(dup, vecs + more, frame)
+        _check_against_dense(ech, vecs, frame)
+        cut = rng.randint(1, frame.size)
+        low = [vec(cut) for _ in range(4)]
+        proj = _projected(ech, cut)
+        proj.insert_all(low)
+        _check_against_dense(proj, [{k: c for k, c in v.items() if k < cut} for v in vecs] + low, frame)
+        if char == 0:
+            perp = perp_space(SubspaceBasis(frame, ech), DER).echelon
+            base = [dict(row) for row in perp.rows.values()]
+            _check_against_dense(perp, base, frame)
+            perp.insert_all(more)
+            _check_against_dense(perp, base + more, frame)
