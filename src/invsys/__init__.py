@@ -3,142 +3,54 @@
 Everything is exact: coefficients are rationals or prime-field residues,
 linear algebra is reduced row echelon over the coefficient field, and all
 operations are pure and deterministic.
+
+The names below are imported from their modules on first use (PEP 562), so
+importing one submodule, such as the CLI, does not load the others.
 """
 
-from .errors import (
-    CharacteristicError,
-    DegreeCapError,
-    FrameMismatchError,
-    InvSysError,
-    NotArtinError,
-    ParseError,
-    SingularCurveError,
-    VerificationError,
-)
-from .poly import (
-    ACTIONS,
-    CONT,
-    DER,
-    Fp,
-    Poly,
-    Ring,
-    apply_action,
-    apply_cont,
-    apply_der,
-    check_action,
-    format_poly,
-    gen_pol,
-    parse_poly,
-    sigma,
-    top_form,
-)
-from .linalg import (
-    Echelon,
-    Frame,
-    SubspaceBasis,
-    perp_space,
-    span_of,
-)
-from .artin import (
-    ArtinStatus,
-    IdealHandle,
-    analyze_artin,
-    cm_type,
-    contains_power_of_maximal,
-    eq_ideal,
-    hilbert,
-    ideal_min_gens,
-    is_ag,
-    is_level,
-    socle_ideal,
-    truncation_span,
-)
-from .duality import (
-    SubmoduleHandle,
-    closure_span,
-    colon_inv_syst,
-    eq_mod_ih,
-    hilbert_via_inverse_system,
-    ideal_ann,
-    inv_syst,
-    is_level_dual,
-    member_ih,
-    min_gens_ih,
-    sub_mod_ih,
-)
-from .elliptic import (
-    ClassificationRow,
-    RowReport,
-    classification_table,
-    default_ring,
-    ideal_wj,
-    j_invariant,
-    verify_row,
-    weierstrass_ab,
-    weierstrass_j,
-)
+from importlib import import_module
+
+_MODULES = {
+    "errors": (
+        "CharacteristicError", "DegreeCapError", "FrameMismatchError", "InvSysError",
+        "NotArtinError", "ParseError", "SingularCurveError", "VerificationError",
+    ),
+    "poly": (
+        "ACTIONS", "CONT", "DER", "Fp", "Poly", "Ring", "apply_action", "apply_cont", "apply_der",
+        "check_action", "format_poly", "gen_pol", "parse_poly", "sigma", "top_form",
+    ),
+    "linalg": ("Echelon", "Frame", "SubspaceBasis", "perp_space", "span_of"),
+    "artin": (
+        "ArtinStatus", "IdealHandle", "analyze_artin", "cm_type", "contains_power_of_maximal",
+        "eq_ideal", "hilbert", "ideal_min_gens", "is_ag", "is_level", "socle_ideal",
+        "truncation_span",
+    ),
+    "duality": (
+        "SubmoduleHandle", "closure_span", "colon_inv_syst", "eq_mod_ih",
+        "hilbert_via_inverse_system", "ideal_ann", "inv_syst", "is_level_dual", "member_ih",
+        "min_gens_ih", "sub_mod_ih",
+    ),
+    "elliptic": (
+        "ClassificationRow", "RowReport", "classification_table", "default_ring", "ideal_wj",
+        "j_invariant", "verify_row", "weierstrass_ab", "weierstrass_j",
+    ),
+}
+_HOME = {name: module for module, names in _MODULES.items() for name in names}
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ACTIONS",
-    "ArtinStatus",
-    "CharacteristicError",
-    "ClassificationRow",
-    "CONT",
-    "DER",
-    "DegreeCapError",
-    "Echelon",
-    "Fp",
-    "Frame",
-    "FrameMismatchError",
-    "IdealHandle",
-    "InvSysError",
-    "NotArtinError",
-    "ParseError",
-    "Poly",
-    "Ring",
-    "RowReport",
-    "SingularCurveError",
-    "SubmoduleHandle",
-    "SubspaceBasis",
-    "VerificationError",
-    "analyze_artin",
-    "apply_action",
-    "apply_cont",
-    "apply_der",
-    "check_action",
-    "classification_table",
-    "closure_span",
-    "cm_type",
-    "colon_inv_syst",
-    "contains_power_of_maximal",
-    "default_ring",
-    "eq_ideal",
-    "eq_mod_ih",
-    "format_poly",
-    "gen_pol",
-    "hilbert",
-    "hilbert_via_inverse_system",
-    "ideal_ann",
-    "ideal_min_gens",
-    "ideal_wj",
-    "inv_syst",
-    "is_ag",
-    "is_level",
-    "is_level_dual",
-    "j_invariant",
-    "member_ih",
-    "min_gens_ih",
-    "parse_poly",
-    "perp_space",
-    "sigma",
-    "socle_ideal",
-    "span_of",
-    "sub_mod_ih",
-    "top_form",
-    "truncation_span",
-    "verify_row",
-    "weierstrass_ab",
-    "weierstrass_j",
-]
+__all__ = list(_HOME)

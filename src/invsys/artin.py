@@ -43,8 +43,7 @@ form every x^a o g, for a module's closure and the colon's unknowns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import DegreeCapError, NotArtinError
 from .linalg import (
@@ -52,6 +51,7 @@ from .linalg import (
     Frame,
     SubspaceBasis,
     Vector,
+    _projected,
     kernel_of_vectors,  # noqa: F401  unused; the benchmark's tracer looks it up here
     perp_space,
     poly_to_vector,
@@ -59,12 +59,13 @@ from .linalg import (
 from .poly import CONT, DER, Poly, Ring, format_poly
 
 
-@dataclass(frozen=True)
-class ArtinStatus:
+class ArtinStatus(NamedTuple):
     """Outcome of the Artinianity search.
 
     For a non-Artinian verdict, ``proven`` distinguishes an actual proof (the
-    coordinate-axis certificate) from cap exhaustion.
+    coordinate-axis certificate) from cap exhaustion.  A named tuple, not a
+    dataclass: ``dataclasses`` imports ``inspect``, which the CLI's start-up
+    would pay for.
     """
 
     artin: bool
@@ -118,30 +119,18 @@ class IdealHandle:
             ech = _projected(spans[min(higher)], ring.frame_size(bound))
         else:
             start = max((b for b in bounds if b < bound), default=0)
-            ech = spans.get(start, Echelon())
+            ech = spans.get(start, Echelon(ring.char))
+            shifts = _shift_tables(ring, bound - 1)
             for b in range(start + 1, bound + 1):
-                ech, _ = _extended(ring, ech, self.generators, b)
+                ech, _ = _extended(ring, ech, self.generators, b, shifts)
         spans[bound] = ech
         return ech
 
 
-def _projected(ech: Echelon, size: int) -> Echelon:
-    """The reduced echelon of the first ``size`` coordinates of ech's span.
-
-    Rows with a pivot at or past ``size`` vanish there; the others keep their
-    pivots and stay mutually reduced, so no elimination is needed.
-    """
-    out = Echelon()
-    out.rows = {
-        p: {k: v for k, v in row.items() if k < size}
-        for p, row in ech.rows.items()
-        if p < size
-    }
-    return out
-
-
 def _shift_tables(ring: Ring, bound: int) -> list[list[int]]:
-    """up[i][k] is the index of x_(i+1) times monomial k, for k in the <=bound frame."""
+    """up[i][k] is the index of x_(i+1) times monomial k, for k in the <=bound
+    frame; entry k does not depend on the bound, so one table serves every
+    lower bound too."""
     index = ring.index_of
     return [
         [index(m[:i] + (m[i] + 1,) + m[i + 1:]) for m in ring.monomials_upto(bound)]
@@ -149,20 +138,22 @@ def _shift_tables(ring: Ring, bound: int) -> list[list[int]]:
     ]
 
 
-def _extended(ring: Ring, ech: Echelon, gens: list[Poly], bound: int) -> tuple[Echelon, list[Poly]]:
+def _extended(
+    ring: Ring, ech: Echelon, gens: list[Poly], bound: int, shifts: list[list[int]]
+) -> tuple[Echelon, list[Poly]]:
     """The extension step: span_I(bound) from ech = span_I(bound-1).
 
     Inserts the x_i-shifts of ech's rows, which span m*I mod m^(bound+1),
     then each generator of order <= bound, truncated at bound, in the order
     given.  Returns the span and the generators that added a pivot.
+    ``shifts`` is ``_shift_tables`` at bound - 1 or higher.
     """
-    shifts = _shift_tables(ring, bound - 1)
     vecs = [{up[k]: c for k, c in row.items()} for row in ech.rows.values() for up in shifts]
     # highest leads first: a new pivot then mostly lies below every stored
     # row, where no row holds it; in-process, without this order deep_socle
     # ran 18% and grid_q 20% slower
     vecs.sort(key=min, reverse=True)
-    out = Echelon()
+    out = Echelon(ring.char)
     out.insert_all(vecs)
     added = [
         g for g in gens
@@ -186,8 +177,8 @@ def _lowering_table(ring: Ring, bound: int, action: str) -> list[dict[int, tuple
 
 
 def _lowered(down: dict[int, tuple[int, int]], vec: Vector) -> Vector:
-    """x_i o vec from x_i's lowering table; ``Fp * int`` raises, so only a
-    weight other than 1 multiplies."""
+    """x_i o vec from x_i's lowering table; only a weight other than 1
+    multiplies."""
     out = {}
     for j, c in vec.items():
         kw = down.get(j)
@@ -230,7 +221,7 @@ def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
     # lowest highest index first: in-process, deep_socle ran 17% slower
     # without it (grid_q flat)
     vecs.sort(key=max)
-    out = Echelon()
+    out = Echelon(ring.char)
     out.insert_all(vecs)
     return out
 
@@ -394,7 +385,8 @@ def ideal_min_gens(ideal: IdealHandle) -> list[Poly]:
 
     # the extension step to s + 1: the shifts of span_I(s) span m*I there
     gens = sorted(ideal.generators, key=sort_key)
-    return _extended(ideal.ring, ideal._span_echelon(s), gens, s + 1)[1]
+    ring = ideal.ring
+    return _extended(ring, ideal._span_echelon(s), gens, s + 1, _shift_tables(ring, s))[1]
 
 
 def minimal_ideal(span: SubspaceBasis) -> IdealHandle:

@@ -27,7 +27,6 @@ import sys
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
-from . import fixtures as fixture_store
 from .artin import (
     IdealHandle,
     analyze_artin,
@@ -48,7 +47,6 @@ from .duality import (
     min_gens_ih,
     sub_mod_ih,
 )
-from .elliptic import classification_table, ideal_wj, verify_row, weierstrass_j
 from .errors import DegreeCapError, InvSysError, NotArtinError, ParseError
 from .poly import CONT, DER, Poly, Ring, format_poly, gen_pol, parse_poly
 
@@ -232,19 +230,29 @@ def _run_gen_pol(args) -> int:
     return EXIT_OK
 
 
+# the elliptic and fixtures modules are imported by the four handlers that use
+# them, so the other commands do not load them
+
+
 def _run_weierstrass(args) -> int:
+    from .elliptic import weierstrass_j
+
     p = weierstrass_j(args.j)
     _emit(args, {"vars": 3, "char": 0}, None, {"poly": format_poly(p)}, {"j": str(args.j)}, [format_poly(p)])
     return EXIT_OK
 
 
 def _run_ideal_wj(args) -> int:
+    from .elliptic import ideal_wj
+
     result, lines = _generators(ideal_wj(args.j).generators)
     _emit(args, {"vars": 3, "char": 0}, None, result, {"j": str(args.j)}, lines)
     return EXIT_OK
 
 
 def _run_verify_classification(args) -> int:
+    from .elliptic import classification_table, verify_row
+
     rows = classification_table(args.j)
     reports = [verify_row(row) for row in rows]
     lines = []
@@ -266,7 +274,9 @@ def _run_verify_classification(args) -> int:
 
 
 def _run_replay(args) -> int:
-    results = fixture_store.replay(args.dir)
+    from .fixtures import replay
+
+    results = replay(args.dir)
     lines = []
     for item in results:
         verdict = "PASS" if item["passed"] else "FAIL"

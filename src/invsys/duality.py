@@ -90,7 +90,7 @@ class SubmoduleHandle:
                 raise DegreeCapError(
                     f"module degree {self.degree_bound} exceeds degree cap {ring.max_degree_cap}"
                 )
-            ech = Echelon()
+            ech = Echelon(ring.char)
             for g in self.generators:
                 orbit = _orbit(ring, poly_to_vector(g), g.degree(), self.action)
                 ech.insert_all(vec for vec in orbit if vec)
@@ -219,7 +219,7 @@ def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[P
         return None
     # unknown k is the monomial at index k; its vector is x^a o f
     vectors = _orbit(ring, poly_to_vector(f), d, action)
-    sol = solve_combination(vectors, poly_to_vector(g), ring.frame_size(d), ring.field.one)
+    sol = solve_combination(vectors, poly_to_vector(g), ring.frame_size(d), ring.char)
     if sol is None:
         return None
     h = vector_to_poly(ring, sol)
@@ -245,12 +245,11 @@ def hilbert_via_inverse_system(
     closure = perp_space(truncation_span(ideal, s), action).echelon
     dims = []
     prev = 0
-    one = ring.field.one
     for i in range(s + 1):
         m_i = ring.frame_size(i)
         joint = closure.copy()
         for idx in range(m_i):
-            joint.insert({idx: one})
+            joint.insert({idx: 1})
         cap_dim = closure.dim + m_i - joint.dim
         dims.append(cap_dim - prev)
         prev = cap_dim

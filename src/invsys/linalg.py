@@ -1,71 +1,86 @@
 """Exact linear algebra on monomial-indexed coordinate spaces.
 
-Vectors are sparse maps from a ring's global monomial index to nonzero field
+Vectors are sparse maps from a ring's global monomial index to nonzero
 scalars.  Because the canonical monomial order is graded, the coordinates of
 a degree-<=D frame form a prefix of every larger frame, so enlarging a frame
 never relabels coordinates.
 
-Subspaces are kept in fully reduced row-echelon form: each row has a unit
-pivot at its lowest-index coordinate, pivot columns are distinct, and every
-row is reduced against every other.  The representation is unique per
-subspace, which makes subspace equality literal equality of the row maps and
-keeps all outputs deterministic.
+Over F_p a vector scalar is a plain int residue; over Q it is an ``int``
+when integral and a ``Fraction`` otherwise.  ``poly_to_vector`` and
+``vector_to_poly`` are the boundary with ``Poly``, whose coefficients are
+``Fp`` or ``Fraction``.
 
-``Echelon.insert`` back-substitutes a new row only into the rows that hold
-its pivot column, found through a column index (each non-pivot column mapped
-to the set of pivots whose rows hold it).
+Subspaces are kept in fully reduced row-echelon form by one integer kernel
+for both fields: each row has its pivot at its lowest index, pivot columns
+are distinct, and no row is nonzero at another row's pivot.  Over F_p a row
+holds residues in [0, p) with pivot 1.  Over Q a row is a primitive integer
+vector (its entries have gcd 1) with a positive pivot, the multiple of the
+reduced row row / row[pivot] with the least positive pivot.  Both forms are
+unique per subspace, which makes subspace equality literal equality of the
+row maps and keeps all outputs deterministic; readers that need the reduced
+row's values divide by the pivot.
 
-Over Q a vector scalar is an ``int`` when it is integral and a ``Fraction``
-otherwise, so most arithmetic runs on machine-backed ints.  The boundary is
-two functions: ``poly_to_vector`` normalises ``Poly`` coefficients on the
-way in, and ``vector_to_poly`` coerces back into the field, so ``Poly``
-coefficients stay ``Fraction``.  Inside, only ``insert`` divides, through
-``_div``, which never lets int / int become a float.  Over F_p scalars are
-``Fp`` residues throughout.
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968).  A vector
+entering over Q has its denominators cleared, one entering over F_p is
+reduced mod p.  To cancel an entry c against a row with pivot entry a,
+``Echelon.reduce`` divides both by g = gcd(a, c) and forms
+(a/g) * vec - (c/g) * row, so over Q it returns a positive multiple of the
+residue.  ``Echelon.insert`` back-substitutes the new row only into the rows
+that hold its pivot column, found through a column index (each non-pivot
+column mapped to the set of pivots whose rows hold it), and divides each
+row it touched by its content.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import FrameMismatchError
-from .poly import DER, Monomial, Poly, Ring, Scalar, check_action
+from .poly import DER, Monomial, Poly, Ring, check_action
 
-Vector = dict[int, Scalar]
-
-
-def _scalar(c: Scalar) -> Scalar:
-    """A vector scalar: an integral ``Fraction`` becomes its ``int``."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
-def _div(a: Scalar, b: Scalar) -> Scalar:
-    """a / b as a vector scalar; int / int goes through divmod, never a float."""
-    if type(a) is int and type(b) is int:
-        q, m = divmod(a, b)
-        return Fraction(a, b) if m else q
-    return _scalar(a / b)
+Vector = dict[int, "int | Fraction"]
 
 
 def poly_to_vector(p: Poly) -> Vector:
     index = p.ring.index_of
-    return {index(m): _scalar(c) for m, c in p.terms.items()}
+    if p.ring.char:
+        return {index(m): c.v for m, c in p.terms.items()}
+    return {index(m): c.numerator if c.denominator == 1 else c for m, c in p.terms.items()}
 
 
-def vector_to_poly(ring: Ring, vec: Vector) -> Poly:
-    at, coerce = ring.monomial_at, ring.field.coerce
-    return Poly(ring, {at(i): coerce(c) for i, c in vec.items()})
+def vector_to_poly(ring: Ring, vec: Vector, scale: int = 1) -> Poly:
+    """The polynomial with coefficient vec[i] / scale at monomial i; an
+    echelon row divided by its pivot entry is its reduced row."""
+    at = ring.monomial_at
+    if scale == 1:
+        coerce = ring.field.coerce
+        return Poly(ring, {at(i): coerce(c) for i, c in vec.items()})
+    ratio = ring.field.from_ratio
+    return Poly(ring, {at(i): ratio(c, scale) for i, c in vec.items()})
+
+
+def _ratio(num: int, den: int) -> "int | Fraction":
+    """num / den as a vector scalar over Q: an int when integral."""
+    q, m = divmod(num, den)
+    return Fraction(num, den) if m else q
+
+
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return row if g == 1 else {k: v // g for k, v in row.items()}
 
 
 class Echelon:
-    """A mutable reduced row-echelon collection of sparse vectors.
+    """A mutable reduced row-echelon collection of sparse vectors over the
+    field of characteristic ``char``.
 
     The workhorse behind every span/membership/kernel computation.  Rows are
-    stored as ``{pivot_index: row_dict}`` with unit pivots; full reduction is
-    maintained on insertion, so the final rows are independent of insertion
-    order.
+    stored as ``{pivot_index: row_dict}`` in the canonical form of the
+    module docstring; full reduction is maintained on insertion, so the
+    final rows are independent of insertion order.
 
     ``insert`` keeps a column index, each non-pivot column mapped to the set
     of pivots whose rows hold it, so back-substitution visits only those
@@ -74,18 +89,19 @@ class Echelon:
     that is only read can be shared between threads.
     """
 
-    __slots__ = ("_rows", "_cols")
+    __slots__ = ("char", "_rows", "_cols")
 
-    def __init__(self):
-        self._rows: dict[int, Vector] = {}
+    def __init__(self, char: int):
+        self.char = char
+        self._rows: dict[int, dict[int, int]] = {}
         self._cols: Optional[dict[int, set[int]]] = {}
 
     @property
-    def rows(self) -> dict[int, Vector]:
+    def rows(self) -> dict[int, dict[int, int]]:
         return self._rows
 
     @rows.setter
-    def rows(self, rows: dict[int, Vector]) -> None:
+    def rows(self, rows: dict[int, dict[int, int]]) -> None:
         self._rows = rows
         self._cols = None
 
@@ -94,23 +110,49 @@ class Echelon:
         return len(self._rows)
 
     def copy(self) -> "Echelon":
-        dup = Echelon()
+        dup = Echelon(self.char)
         dup.rows = {p: dict(row) for p, row in self._rows.items()}
         return dup
 
-    def reduce(self, vec: Vector) -> Vector:
-        """Residue of ``vec`` after subtracting its pivot components.
+    def reduce(self, vec: Vector) -> dict[int, int]:
+        """The residue of ``vec`` after subtracting its pivot components:
+        over F_p the residue itself, over Q a positive integer multiple.
 
         Rows are mutually reduced, so one pass over the pivots present in the
         input is complete: subtracted rows only introduce non-pivot indices.
         """
+        rows, char = self._rows, self.char
+        if char:
+            out = {k: r for k, c in vec.items() if (r := c % char)}
+            for p in [p for p in out if p in rows]:
+                c = out.get(p)
+                if not c:
+                    continue
+                for k, v in rows[p].items():
+                    s = out.get(k)
+                    s = -c * v % char if s is None else (s - c * v) % char
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+            return out
         out = dict(vec)
-        rows = self._rows
+        # the sum of the entries is an int exactly when no entry is a Fraction
+        if type(sum(out.values())) is not int:
+            den = lcm(*(c.denominator for c in out.values() if type(c) is not int))
+            out = {k: int(c * den) for k, c in out.items()}
         for p in [p for p in out if p in rows]:
             c = out.get(p)
             if not c:
                 continue
-            for k, v in rows[p].items():
+            row = rows[p]
+            a = row[p]
+            if a != 1:
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                if a != 1:
+                    out = {k: a * s for k, s in out.items()}
+            for k, v in row.items():
                 s = out.get(k)
                 s = -(c * v) if s is None else s - c * v
                 if s:
@@ -127,7 +169,7 @@ class Echelon:
         r = self.reduce(vec)
         if not r:
             return None
-        rows, cols = self._rows, self._cols
+        rows, cols, char = self._rows, self._cols, self.char
         if cols is None:
             cols = self._cols = {}
             for q, row in rows.items():
@@ -135,40 +177,92 @@ class Echelon:
                     if k != q:
                         cols.setdefault(k, set()).add(q)
         p = min(r)
-        inv = r[p]
-        newrow = {k: _div(v, inv) for k, v in r.items()}
-        tail = [(k, v) for k, v in newrow.items() if k != p]
+        a = r[p]
+        if a != 1:
+            if char:
+                inv = pow(a, -1, char)
+                r = {k: v * inv % char for k, v in r.items()}
+            else:
+                g = gcd(*r.values()) if a > 0 else -gcd(*r.values())
+                if g != 1:
+                    r = {k: v // g for k, v in r.items()}
+            a = r[p]
+        tail = [(k, v) for k, v in r.items() if k != p]
         for k, _ in tail:
             cols.setdefault(k, set()).add(p)
         for q in cols.pop(p, ()):
             row = rows[q]
             c = row.pop(p)
+            if char:
+                for k, v in tail:
+                    s = row.get(k)
+                    if s is None:
+                        row[k] = -c * v % char
+                        cols[k].add(q)
+                    else:
+                        s = (s - c * v) % char
+                        if s:
+                            row[k] = s
+                        else:
+                            del row[k]
+                            cols[k].discard(q)
+                continue
+            # row := (a/g) * row - (c/g) * r, for g = gcd(a, c)
+            if a != 1:
+                g = gcd(a, c)
+                m, c = a // g, c // g
+                if m != 1:
+                    for k in row:
+                        row[k] *= m
             for k, v in tail:
                 s = row.get(k)
                 if s is None:
-                    row[k] = _scalar(-(c * v))
+                    row[k] = -(c * v)
                     cols[k].add(q)
                 else:
                     s = s - c * v
                     if s:
-                        row[k] = _scalar(s)
+                        row[k] = s
                     else:
                         del row[k]
                         cols[k].discard(q)
-        rows[p] = newrow
+            # the content divides the pivot entry, as r is zero at q
+            if row[q] != 1:
+                g = gcd(*row.values())
+                if g != 1:
+                    for k in row:
+                        row[k] //= g
+        rows[p] = r
         return p
 
     def insert_all(self, vecs: Iterable[Vector]) -> None:
         for v in vecs:
             self.insert(v)
 
-    def sorted_rows(self) -> list[Vector]:
+    def sorted_rows(self) -> list[dict[int, int]]:
         return [self._rows[p] for p in sorted(self._rows)]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Echelon):
             return self._rows == other._rows
         return NotImplemented
+
+
+def _projected(ech: Echelon, size: int) -> Echelon:
+    """The reduced echelon of the first ``size`` coordinates of ech's span.
+
+    Rows with a pivot at or past ``size`` vanish there; the others keep their
+    pivots and stay mutually reduced, so no elimination is needed.  Over Q a
+    cut row is divided by its content again.
+    """
+    out = Echelon(ech.char)
+    rows = {
+        p: {k: v for k, v in row.items() if k < size}
+        for p, row in ech.rows.items()
+        if p < size
+    }
+    out.rows = rows if ech.char else {p: _primitive(row) for p, row in rows.items()}
+    return out
 
 
 class Frame:
@@ -210,9 +304,9 @@ class SubspaceBasis:
         return self.echelon.dim
 
     def row_polys(self) -> list[Poly]:
-        """Basis rows as polynomials, ordered by pivot."""
+        """The reduced basis rows as polynomials, ordered by pivot."""
         ring = self.frame.ring
-        return [vector_to_poly(ring, row) for row in self.echelon.sorted_rows()]
+        return [vector_to_poly(ring, row, row[p]) for p, row in sorted(self.echelon.rows.items())]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SubspaceBasis):
@@ -225,7 +319,7 @@ class SubspaceBasis:
 
 def span_of(polys: Sequence[Poly], frame: Frame) -> SubspaceBasis:
     """Reduced basis of the k-span of the given polynomials."""
-    ech = Echelon()
+    ech = Echelon(frame.ring.char)
     for p in polys:
         if p.ring != frame.ring:
             raise FrameMismatchError("polynomial from a different ring")
@@ -237,33 +331,47 @@ def span_of(polys: Sequence[Poly], frame: Frame) -> SubspaceBasis:
     return SubspaceBasis(frame, ech)
 
 
-def _tracked(vectors: Iterable[Vector], width: int, one: Scalar) -> Echelon:
+def _tracked(vectors: Iterable[Vector], width: int, char: int) -> Echelon:
     """Echelon of the vectors, each tagged with a tracker coordinate width + k."""
-    ech = Echelon()
-    one = _scalar(one)
+    ech = Echelon(char)
     for k, v in enumerate(vectors):
         w = dict(v)
-        w[width + k] = one
+        w[width + k] = 1
         ech.insert(w)
     return ech
 
 
-def kernel_of_vectors(vectors: Sequence[Vector], width: int, one: Scalar) -> list[Vector]:
-    """Reduced basis of {c : sum_k c_k * vectors[k] = 0}.
+def kernel_of_vectors(vectors: Sequence[Vector], width: int, char: int) -> list[dict[int, int]]:
+    """Reduced basis of {c : sum_k c_k * vectors[k] = 0}, over the field of
+    characteristic ``char``.
 
     ``width`` must exceed every coordinate index used by the vectors; tracker
-    coordinates live at width + k, so pivots prefer the image part.  ``one``
-    is the field unit.  Kernel vectors come out keyed by position k, already
-    in reduced echelon form.
+    coordinates live at width + k, so pivots prefer the image part.  Kernel
+    vectors come out keyed by position k, as echelon rows: over Q each is
+    the least positive integral multiple of its reduced row.
     """
-    ech = _tracked(vectors, width, one)
+    ech = _tracked(vectors, width, char)
     return [
         {k - width: c for k, c in ech.rows[p].items()} for p in sorted(ech.rows) if p >= width
     ]
 
 
+def residue(ech: Echelon, vec: Vector) -> Vector:
+    """The residue of ``vec`` modulo ech's span, with exact vector scalars.
+
+    Over F_p that is ``reduce``'s result.  Over Q ``reduce`` returns a
+    multiple of it, so the vector is tagged with 1 at coordinate -1, which no
+    row holds, and the residue is divided by what the tag reads.
+    """
+    if ech.char:
+        return ech.reduce(vec)
+    res = ech.reduce({**vec, -1: 1})
+    scale = res.pop(-1)
+    return {k: _ratio(c, scale) for k, c in res.items()}
+
+
 def solve_combination(
-    vectors: Iterable[Vector], target: Vector, width: int, one: Scalar
+    vectors: Iterable[Vector], target: Vector, width: int, char: int
 ) -> Optional[Vector]:
     """Coefficients c with sum_k c_k * vectors[k] = target, or None.
 
@@ -271,10 +379,10 @@ def solve_combination(
     in order, so the returned combination is canonical for a given input
     order.  Keys of the result are positions into ``vectors``.
     """
-    res = _tracked(vectors, width, one).reduce(dict(target))
+    res = residue(_tracked(vectors, width, char), target)
     if any(k < width for k in res):
         return None
-    return {k - width: -c for k, c in res.items()}
+    return {k - width: -c % char if char else -c for k, c in res.items()}
 
 
 def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
@@ -285,28 +393,35 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     frame size - dim(U), and perp is an involution.
 
     Read off U's reduced form: each non-pivot column f gives the contraction
-    complement vector e_f - sum_p row_p[f] * e_p, and only these are
+    complement vector e_f - sum_p (row_p[f] / row_p[p]) * e_p, scaled to
+    integers by the lcm of the pivot entries involved, and only these are
     eliminated.  The differentiation complement is the contraction one with
-    coordinate x^a scaled by 1/a!, which keeps every zero, so renormalising
-    each row at its pivot leaves it reduced.
+    coordinate x^a scaled by 1/a!, which keeps every zero, so each row
+    stays reduced once scaled back to a primitive integer vector.
     """
     ring = u.frame.ring
     check_action(ring, action)
     rows = u.echelon.rows
-    one = _scalar(ring.field.one)
-    kernel = {f: {f: one} for f in range(u.frame.size) if f not in rows}
+    held = {f: {} for f in range(u.frame.size) if f not in rows}
     for p, row in rows.items():
         for f, c in row.items():
             if f != p:
-                kernel[f][p] = -c
-    ech = Echelon()
+                held[f][p] = c
+    kernel = []
+    for f, entries in held.items():
+        top = lcm(*(rows[p][p] for p in entries))
+        vec = {p: -c * (top // rows[p][p]) for p, c in entries.items()}
+        vec[f] = top
+        kernel.append(vec)
+    ech = Echelon(ring.char)
     # sparsest first, then from the highest column down: in column order the
     # complements of m o I^perp took 1.4-2.5 times as long
-    ech.insert_all(sorted(kernel.values(), key=lambda v: (len(v), -max(v))))
+    ech.insert_all(sorted(kernel, key=lambda v: (len(v), -max(v))))
     if action == DER:
-        weight = [math.prod(map(math.factorial, m)) for m in u.frame.monomials]
-        ech.rows = {
-            p: {k: _scalar(c * ring.field.from_ratio(weight[p], weight[k])) for k, c in row.items()}
-            for p, row in ech.rows.items()
-        }
+        weight = [prod(map(factorial, m)) for m in u.frame.monomials]
+        rescaled = {}
+        for p, row in ech.rows.items():
+            top = lcm(*(weight[k] for k in row))
+            rescaled[p] = _primitive({k: c * (top // weight[k]) for k, c in row.items()})
+        ech.rows = rescaled
     return SubspaceBasis(u.frame, ech)

@@ -114,7 +114,7 @@ def all_combinations(rows, p, size):
     for row in rows:
         dense = [0] * size
         for idx, c in row.items():
-            dense[idx] = c.v
+            dense[idx] = c
         dense_rows.append(dense)
     for coeffs in product(range(p), repeat=len(dense_rows)):
         v = [0] * size

@@ -13,8 +13,8 @@ none of its span builder, read-off complement, lowering table or seeded
 caches, so they can cross-check those.
 
 The echelon itself is checked against ``rref``: dense Gauss-Jordan
-elimination over the field's own scalars, with no column index and no
-integral scalars held as ints.
+elimination over the field's own scalars (``Fraction`` or ``Fp``), with no
+column index and no integer rows.
 """
 
 from __future__ import annotations
@@ -39,15 +39,17 @@ from invsys.linalg import (
     Vector,
     kernel_of_vectors,
     poly_to_vector,
+    residue,
     solve_combination,
     vector_to_poly,
 )
 
 
 def rref(vectors: list[Vector], field) -> dict[int, Vector]:
-    """The reduced row-echelon form of the vectors' span, as ``Echelon.rows``
-    holds it: {pivot: row}, each row's unit pivot at its lowest index and
-    every other row zero there.  Dense Gauss-Jordan, column by column."""
+    """The reduced row-echelon form of the vectors' span: {pivot: row}, each
+    row's unit pivot at its lowest index and every other row zero there;
+    ``Echelon.rows`` holds a multiple of each row.  Dense Gauss-Jordan,
+    column by column."""
     width = 1 + max((k for v in vectors for k in v), default=-1)
     mat = [[field.coerce(v.get(k, 0)) for k in range(width)] for v in vectors]
     pivots = []
@@ -70,7 +72,7 @@ def rref(vectors: list[Vector], field) -> dict[int, Vector]:
 def product_span(ideal: IdealHandle, bound: int, min_multiplier: int = 0) -> Echelon:
     """Echelon of all x^a * g, |a| >= min_multiplier, truncated at ``bound``."""
     ring = ideal.ring
-    ech = Echelon()
+    ech = Echelon(ring.char)
     for g in ideal.generators:
         if g.order() > bound:
             continue
@@ -99,7 +101,7 @@ def artin_status(ideal: IdealHandle) -> ArtinStatus:
         return ArtinStatus(artin=False, socle_degree=None, proven=True, cap=cap)
     for d in range(1, cap + 1):
         ech = product_span(ideal, d)
-        if all(ech.contains({ring.index_of(m): ring.field.one}) for m in ring.monomials_of_degree(d)):
+        if all(ech.contains({ring.index_of(m): 1}) for m in ring.monomials_of_degree(d)):
             return ArtinStatus(artin=True, socle_degree=d - 1, proven=True, cap=cap)
     return ArtinStatus(artin=False, socle_degree=None, proven=False, cap=cap)
 
@@ -133,10 +135,10 @@ def colon_span(ideal: IdealHandle, s: int) -> list[Vector]:
         combined = {}
         for i in range(ring.nvars):
             shifted = Poly.monomial(ring, mono) * Poly.variable(ring, i + 1)
-            for idx, c in big.reduce(poly_to_vector(shifted)).items():
+            for idx, c in residue(big, poly_to_vector(shifted)).items():
                 combined[i * m1 + idx] = c
         vectors.append(combined)
-    return kernel_of_vectors(vectors, ring.nvars * m1, ring.field.one)
+    return kernel_of_vectors(vectors, ring.nvars * m1, ring.char)
 
 
 def socle(ideal: IdealHandle) -> list[Poly]:
@@ -145,7 +147,7 @@ def socle(ideal: IdealHandle) -> list[Poly]:
     s = artin_status(ideal).socle_degree
     if s == 0:
         return [Poly.one(ring)]
-    gens = [vector_to_poly(ring, vec) for vec in colon_span(ideal, s)]
+    gens = [vector_to_poly(ring, vec, vec[min(vec)]) for vec in colon_span(ideal, s)]
     gens += [Poly.monomial(ring, m) for m in ring.monomials_of_degree(s + 1)]
     return min_gens(IdealHandle(ring, gens))
 
@@ -166,7 +168,7 @@ def is_level(ideal: IdealHandle) -> int:
     ring = ideal.ring
     s = artin_status(ideal).socle_degree
     other = product_span(ideal, s)
-    other.insert_all({k: ring.field.one} for k in range(ring.frame_size(s - 1), ring.frame_size(s)))
+    other.insert_all({k: 1} for k in range(ring.frame_size(s - 1), ring.frame_size(s)))
     return s if {min(v): v for v in colon_span(ideal, s)} == other.rows else -1
 
 
@@ -178,8 +180,8 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     for ri, row in enumerate(u.echelon.sorted_rows()):
         for c, val in row.items():
             columns[c][ri] = val
-    ech = Echelon()
-    for vec in kernel_of_vectors(columns, m, ring.field.one):
+    ech = Echelon(ring.char)
+    for vec in kernel_of_vectors(columns, m, ring.char):
         if action == DER:
             vec = {
                 c: val / ring.field.coerce(math.prod(map(math.factorial, ring.monomial_at(c))))
@@ -192,7 +194,7 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
 def closure(module: SubmoduleHandle) -> Echelon:
     """Span of every x^a o g_j, each applied to the generator as a polynomial."""
     ring = module.ring
-    ech = Echelon()
+    ech = Echelon(ring.char)
     for g in module.generators:
         for mono in ring.monomials_upto(g.degree()):
             h = apply_action(module.action, Poly.monomial(ring, mono), g)
@@ -210,7 +212,7 @@ def colon(f: Poly, g: Poly, action: str) -> Optional[Poly]:
         return None
     unknowns = ring.monomials_upto(d)
     vectors = [poly_to_vector(apply_action(action, Poly.monomial(ring, m), f)) for m in unknowns]
-    sol = solve_combination(vectors, poly_to_vector(g), ring.frame_size(d), ring.field.one)
+    sol = solve_combination(vectors, poly_to_vector(g), ring.frame_size(d), ring.char)
     if sol is None:
         return None
     return Poly(ring, {unknowns[k]: ring.field.coerce(c) for k, c in sol.items()})
@@ -219,7 +221,7 @@ def colon(f: Poly, g: Poly, action: str) -> Optional[Poly]:
 def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
     """Nakayama selection against m o closure built by applying each x_i."""
     ring = module.ring
-    ech = Echelon()
+    ech = Echelon(ring.char)
     for row in closure(module).sorted_rows():
         g = vector_to_poly(ring, row)
         for i in range(1, ring.nvars + 1):
@@ -256,10 +258,11 @@ def ideal_ann(module: SubmoduleHandle) -> list[Poly]:
         combined = {}
         for j, g in enumerate(module.generators):
             h = apply_action(module.action, Poly.monomial(ring, mono), g)
-            for m, c in h.terms.items():
-                combined[j * m1 + ring.index_of(m)] = c
+            for idx, c in poly_to_vector(h).items():
+                combined[j * m1 + idx] = c
         vectors.append(combined)
-    kernel = kernel_of_vectors(vectors, len(module.generators) * m1, ring.field.one)
-    gens = [Poly(ring, {monos[k]: ring.field.coerce(c) for k, c in vec.items()}) for vec in kernel]
+    kernel = kernel_of_vectors(vectors, len(module.generators) * m1, ring.char)
+    gens = [Poly(ring, {monos[k]: ring.field.from_ratio(c, vec[min(vec)]) for k, c in vec.items()})
+            for vec in kernel]
     gens += [Poly.monomial(ring, m) for m in ring.monomials_of_degree(d + 1)]
     return min_gens(IdealHandle(ring, gens), socle_degree=d)

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import invsys
 from invsys import parse_poly, Ring
 from invsys.cli import run
 
@@ -442,3 +447,19 @@ def test_replay_fixtures(capsys):
 def test_replay_fixtures_missing_dir(capsys):
     code, _, err = invoke(capsys, "replay-fixtures", "--dir", "/nonexistent/path")
     assert code == 3
+
+
+def test_cli_import_loads_no_elliptic_fixtures_or_dataclasses():
+    # a fresh interpreter: importing the CLI adds neither the elliptic and
+    # fixtures modules nor dataclasses, unless the interpreter had it already
+    code = (
+        "import json, sys; before = set(sys.modules); import invsys.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    src = str(Path(invsys.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    loaded = set(json.loads(done.stdout))
+    assert "invsys.cli" in loaded
+    assert not loaded & {"invsys.elliptic", "invsys.fixtures", "dataclasses"}

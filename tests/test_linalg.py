@@ -10,6 +10,7 @@ from invsys import (
     CONT,
     DER,
     CharacteristicError,
+    Fp,
     Echelon,
     Frame,
     FrameMismatchError,
@@ -20,8 +21,7 @@ from invsys import (
     perp_space,
     span_of,
 )
-from invsys.artin import _projected
-from invsys.linalg import SubspaceBasis, poly_to_vector
+from invsys.linalg import SubspaceBasis, _projected, poly_to_vector
 from conftest import P, all_combinations, staircase
 import oracle
 
@@ -230,18 +230,82 @@ def test_dimensions_consistent_across_fields():
     assert len(set(dims)) == 1
 
 
+def _check_canonical(ech):
+    # white-box: every row an int vector with its pivot at its lowest index,
+    # over Q primitive with a positive pivot, over F_p residues with pivot 1;
+    # and no row nonzero at another row's pivot
+    char = ech.char
+    for p, row in ech.rows.items():
+        assert all(type(c) is int for c in row.values())
+        assert p == min(row)
+        if char:
+            assert row[p] == 1 and all(0 < c < char for c in row.values())
+        else:
+            assert row[p] > 0 and math.gcd(*row.values()) == 1
+        assert not any(q in row for q in ech.rows if q != p)
+
+
 def test_echelon_full_reduction_invariant():
-    # white-box: unit pivots, and no row nonzero at another row's pivot
-    r = Ring(3, 0)
-    frame = Frame(r, 3)
-    rng = random.Random(41)
-    u = span_of([gen_pol(r, 0, 3, 3, rng.getrandbits(63)) for _ in range(6)], frame)
-    rows = u.echelon.rows
-    for p, row in rows.items():
-        assert row[p] == 1
-        for q in rows:
-            if q != p:
-                assert q not in row
+    for char in (0, 32003):
+        r = Ring(3, char)
+        frame = Frame(r, 3)
+        rng = random.Random(41)
+        u = span_of([gen_pol(r, 0, 3, 3, rng.getrandbits(63)) for _ in range(6)], frame)
+        assert u.dim == 6
+        _check_canonical(u.echelon)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_echelon_independent_of_insertion_order(char):
+    # the same vectors, some with proper fractions over Q, inserted in
+    # shuffled orders give equal echelons holding only ints
+    r = Ring(3, char)
+    rng = random.Random(61)
+    coeffs = (1, -1, 2, -6, 9, Fraction(1, 2), Fraction(-4, 3), Fraction(5, 7))
+
+    def vec():
+        ks = rng.sample(range(r.frame_size(3)), rng.randint(1, 7))
+        return poly_to_vector(Poly(r, {r.monomial_at(k): r.field.coerce(rng.choice(coeffs)) for k in ks}))
+
+    for _ in range(10):
+        vecs = [vec() for _ in range(rng.randint(2, 20))]
+        vecs += [{k: 3 * c for k, c in vecs[0].items()}]
+        first = Echelon(char)
+        first.insert_all(vecs)
+        _check_canonical(first)
+        for _ in range(4):
+            rng.shuffle(vecs)
+            again = Echelon(char)
+            again.insert_all(vecs)
+            assert again == first
+            assert again.rows == first.rows
+
+
+def _check_scalars(vecs, ring):
+    # no scalar is a float; over Q an integral scalar is an int, over F_p
+    # every scalar is a plain int residue
+    values = [c for v in vecs for c in v.values()]
+    assert not any(isinstance(c, float) for c in values)
+    if ring.char == 0:
+        assert all(type(c) is int or c.denominator != 1 for c in values)
+    else:
+        assert all(type(c) is int and 0 <= c < ring.char for c in values)
+
+
+def _check_against_dense(ech, vecs, frame):
+    # every row, divided by its pivot entry, is the dense reference's row,
+    # and the Poly coefficients read back are the field's own scalars
+    ring = frame.ring
+    ratio = ring.field.from_ratio
+    normalised = {p: {k: ratio(c, row[p]) for k, c in row.items()} for p, row in ech.rows.items()}
+    assert normalised == oracle.rref(vecs, ring.field)
+    _check_canonical(ech)
+    scalar = Fraction if ring.char == 0 else Fp
+    coeffs = [c for f in SubspaceBasis(frame, ech).row_polys() for c in f.terms.values()]
+    assert all(type(c) is scalar for c in coeffs)
+    assert [f.terms for f in SubspaceBasis(frame, ech).row_polys()] == [
+        {ring.monomial_at(k): c for k, c in normalised[p].items()} for p in sorted(normalised)
+    ]
 
 
 def test_frame_prefix_embedding():
@@ -255,25 +319,6 @@ def test_frame_prefix_embedding():
     assert Frame(r, 4).monomials[: small.frame.size] == small.frame.monomials
     assert big.echelon.rows == small.echelon.rows
     assert _member(P(r, "x1+x2^2"), big)
-
-
-def _check_scalars(vecs, ring):
-    # no scalar is a float, and over Q an integral scalar is an int
-    values = [c for v in vecs for c in v.values()]
-    assert not any(isinstance(c, float) for c in values)
-    if ring.char == 0:
-        assert all(type(c) is int or c.denominator != 1 for c in values)
-
-
-def _check_against_dense(ech, vecs, frame):
-    # the rows are the dense reference's, with vector scalars, and over Q the
-    # Poly coefficients read back are Fractions
-    ring = frame.ring
-    assert ech.rows == oracle.rref(vecs, ring.field)
-    _check_scalars(ech.rows.values(), ring)
-    if ring.char == 0:
-        coeffs = [c for f in SubspaceBasis(frame, ech).row_polys() for c in f.terms.values()]
-        assert all(type(c) is Fraction for c in coeffs)
 
 
 @pytest.mark.parametrize("char", [0, 32003])
@@ -294,7 +339,7 @@ def test_echelon_matches_dense_reference(char):
     for _ in range(40):
         vecs = [vec() for _ in range(rng.randint(1, 25))]
         _check_scalars(vecs, r)
-        ech = Echelon()
+        ech = Echelon(char)
         ech.insert_all(vecs)
         _check_against_dense(ech, vecs, frame)
         more = [vec() for _ in range(6)]

@@ -186,7 +186,7 @@ def test_closure_and_colon_match_action_oracle(n, char):
             lowered = [apply_action(action, Poly.variable(ring, i), f) for i in (1, 2)]
             outside = next(
                 (Poly.monomial(ring, m) for m in ring.monomials_upto(f.degree())
-                 if not closure.contains({ring.index_of(m): ring.field.one})),
+                 if not closure.contains({ring.index_of(m): 1})),
                 None,
             )
             targets = lowered + [lowered[0] + lowered[1]] + ([outside] if outside else [])
@@ -211,3 +211,17 @@ def test_status_matches_oracle_under_small_cap(nvars, cap, texts):
     ring = Ring(nvars, 0, max_degree_cap=cap)
     ideal = IdealHandle(ring, [parse_poly(t, ring) for t in texts])
     assert analyze_artin(ideal) == oracle.artin_status(ideal)
+
+
+def test_never_artinian_generic_generators_match_oracle():
+    # three generic generators in 4 variables, each with a pure power of
+    # every variable: the axis test cannot decide, so the search runs to the
+    # cap through spans whose rows carry large integer entries over Q
+    ring = Ring(4, 0, max_degree_cap=5)
+    ideal = IdealHandle(ring, [gen_pol(ring, 2, 3, 3, seed) for seed in (8, 9, 10)])
+    status = analyze_artin(ideal)
+    assert status == oracle.artin_status(ideal)
+    assert (status.artin, status.proven, status.cap) == (False, False, 5)
+    for b in range(1, 6):
+        assert truncation_span(ideal, b).echelon == oracle.product_span(ideal, b), b
+    assert max(abs(c) for row in truncation_span(ideal, 5).echelon.rows.values() for c in row.values()) > 2**64
