@@ -36,9 +36,10 @@ every x_i * f kills I^perp.  So the type is dim I^perp - dim m o I^perp; A
 is level iff m o I^perp fills I^perp cap S_<=s-1, the perp of span_I(s-1);
 and the span of (I : m) at s - 1 is the perp of m o I^perp.
 
-The module side acts on index vectors through one lowering table, which
-``maximal_action`` applies to V's rows for m o V and ``_orbit`` chains to
-form every x^a o g, for a module's closure and the colon's unknowns.
+Both actions of m are index arithmetic on the ring's tables: ``_extended``
+shifts rows by the raise table, ``maximal_action`` lowers V's rows by the
+lower table for m o V, and ``_orbit`` chains it to form every x^a o g, for
+a module's closure and the colon's unknowns.
 """
 
 from __future__ import annotations
@@ -120,34 +121,21 @@ class IdealHandle:
         else:
             start = max((b for b in bounds if b < bound), default=0)
             ech = spans.get(start, Echelon(ring.char))
-            shifts = _shift_tables(ring, bound - 1)
             for b in range(start + 1, bound + 1):
-                ech, _ = _extended(ring, ech, self.generators, b, shifts)
+                ech, _ = _extended(ring, ech, self.generators, b)
         spans[bound] = ech
         return ech
 
 
-def _shift_tables(ring: Ring, bound: int) -> list[list[int]]:
-    """up[i][k] is the index of x_(i+1) times monomial k, for k in the <=bound
-    frame; entry k does not depend on the bound, so one table serves every
-    lower bound too."""
-    index = ring.index_of
-    return [
-        [index(m[:i] + (m[i] + 1,) + m[i + 1:]) for m in ring.monomials_upto(bound)]
-        for i in range(ring.nvars)
-    ]
-
-
-def _extended(
-    ring: Ring, ech: Echelon, gens: list[Poly], bound: int, shifts: list[list[int]]
-) -> tuple[Echelon, list[Poly]]:
+def _extended(ring: Ring, ech: Echelon, gens: list[Poly], bound: int) -> tuple[Echelon, list[Poly]]:
     """The extension step: span_I(bound) from ech = span_I(bound-1).
 
-    Inserts the x_i-shifts of ech's rows, which span m*I mod m^(bound+1),
-    then each generator of order <= bound, truncated at bound, in the order
-    given.  Returns the span and the generators that added a pivot.
-    ``shifts`` is ``_shift_tables`` at bound - 1 or higher.
+    Inserts the x_i-shifts of ech's rows, read off the ring's raise table,
+    which span m*I mod m^(bound+1), then each generator of order <= bound,
+    truncated at bound, in the order given.  Returns the span and the
+    generators that added a pivot.
     """
+    shifts = ring.raise_table(bound - 1)
     vecs = [{up[k]: c for k, c in row.items()} for row in ech.rows.values() for up in shifts]
     # highest leads first: a new pivot then mostly lies below every stored
     # row, where no row holds it; in-process, without this order deep_socle
@@ -162,29 +150,15 @@ def _extended(
     return out, added
 
 
-def _lowering_table(ring: Ring, bound: int, action: str) -> list[dict[int, tuple[int, int]]]:
-    """down[i][j] = (k, w): x_(i+1) o x^b = w * x^(b - e_(i+1)) for monomial j
-    of the <=bound frame, k the index of b - e_(i+1), w = b_(i+1) under
-    differentiation and 1 under contraction."""
-    index = ring.index_of
-    weighted = action == DER
-    down = [{} for _ in range(ring.nvars)]
-    for j, b in enumerate(ring.monomials_upto(bound)):
-        for i, e in enumerate(b):
-            if e:
-                down[i][j] = (index(b[:i] + (e - 1,) + b[i + 1:]), e if weighted else 1)
-    return down
-
-
-def _lowered(down: dict[int, tuple[int, int]], vec: Vector) -> Vector:
-    """x_i o vec from x_i's lowering table; only a weight other than 1
-    multiplies."""
-    out = {}
+def _lowered(down: list[Optional[tuple[int, int]]], vec: Vector, action: str) -> Vector:
+    """x_i o vec from x_i's entries in the ring's lower table: under
+    differentiation the exponent multiplies, under contraction nothing does."""
+    weighted, out = action == DER, {}
     for j, c in vec.items():
-        kw = down.get(j)
-        if kw is not None:
-            k, w = kw
-            out[k] = c if w == 1 else c * w
+        ke = down[j]
+        if ke is not None:
+            k, e = ke
+            out[k] = c * e if weighted and e != 1 else c
     return out
 
 
@@ -192,17 +166,17 @@ def _orbit(ring: Ring, vec: Vector, bound: int, action: str) -> Iterator[Vector]
     """x^a o vec for every x^a in the <=bound frame, in canonical order.
 
     x^a o vec = x_i o (x^(a - e_i) o vec) for the first variable x_i of x^a,
-    and the table also lowers x^a to x^(a - e_i), so only the previous
+    and the lower table also lowers x^a to x^(a - e_i), so only the previous
     degree's vectors are held.
     """
-    down = _lowering_table(ring, bound, action)
+    down = ring.lower_table(bound)
     yield vec
     prev, start = [vec], 0
     for d in range(1, bound + 1):
         layer = []
-        for j, a in enumerate(ring.monomials_of_degree(d), ring.frame_size(d - 1)):
-            i = next(i for i, e in enumerate(a) if e)
-            layer.append(_lowered(down[i], prev[down[i][j][0] - start]))
+        for j in range(ring.frame_size(d - 1), ring.frame_size(d)):
+            low = next(low for low in down if low[j] is not None)
+            layer.append(_lowered(low, prev[low[j][0] - start], action))
         yield from layer
         prev, start = layer, ring.frame_size(d - 1)
 
@@ -210,13 +184,13 @@ def _orbit(ring: Ring, vec: Vector, bound: int, action: str) -> Iterator[Vector]
 def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
     """Echelon of m o V for a subspace V of S, in the frame one degree lower.
 
-    Each row r is carried to every x_i o r by the lowering table.
+    Each row r is carried to every x_i o r by the ring's lower table.
     """
     ring = span.frame.ring
     rows = span.echelon.rows.values()
     vecs = [
-        vec for down in _lowering_table(ring, span.frame.bound, action)
-        for vec in (_lowered(down, row) for row in rows) if vec
+        vec for down in ring.lower_table(span.frame.bound)
+        for vec in (_lowered(down, row, action) for row in rows) if vec
     ]
     # lowest highest index first: in-process, deep_socle ran 17% slower
     # without it (grid_q flat)
@@ -385,8 +359,7 @@ def ideal_min_gens(ideal: IdealHandle) -> list[Poly]:
 
     # the extension step to s + 1: the shifts of span_I(s) span m*I there
     gens = sorted(ideal.generators, key=sort_key)
-    ring = ideal.ring
-    return _extended(ring, ideal._span_echelon(s), gens, s + 1, _shift_tables(ring, s))[1]
+    return _extended(ideal.ring, ideal._span_echelon(s), gens, s + 1)[1]
 
 
 def minimal_ideal(span: SubspaceBasis) -> IdealHandle:

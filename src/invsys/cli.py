@@ -99,15 +99,13 @@ def _split_generators(text: str) -> list[str]:
     for line in text.splitlines() or [text]:
         if "//" in line:
             line = line[: line.index("//")]
-        line = line.strip()
-        if not line:
-            continue
-        # strip "name[k]=" prefixes so command output pipes back in
-        head, sep, tail = line.partition("=")
-        if sep and head and "[" in head and head.replace("[", "").replace("]", "").replace("_", "").isalnum():
-            line = tail
-        pieces.extend(p for p in line.split(",") if p.strip())
-    return [p.strip() for p in pieces]
+        for piece in line.split(","):
+            # strip "name[k]=" prefixes so command output pipes back in
+            head, sep, tail = piece.partition("=")
+            if sep and "[" in head and head.strip().replace("[", "").replace("]", "").replace("_", "").isalnum():
+                piece = tail
+            pieces.append(piece.strip())
+    return [p for p in pieces if p]
 
 
 def _parse_gens(arg: str, ring: Ring) -> list[Poly]:

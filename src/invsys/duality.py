@@ -24,9 +24,9 @@ complement's rows, the complement seeded, the Nakayama selection kept.
 Submodules are handled by generator lists; the canonical semantic object is
 the closure span, the k-span of all x^a o g_j, cached on the handle.  Its
 frame is bounded by the ring's degree cap.  The closure and the colon's
-unknowns come from :mod:`invsys.artin`'s lowering table, which forms each
-x^a o g from x^(a - e_i) o g on index vectors; ``apply_action`` only
-re-checks the colon's answer.
+unknowns come from :mod:`invsys.artin`'s ``_orbit``, which forms each
+x^a o g from x^(a - e_i) o g on index vectors through the ring's lower
+table; ``apply_action`` only re-checks the colon's answer.
 """
 
 from __future__ import annotations

@@ -34,11 +34,11 @@ row it touched by its content.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm, prod
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import FrameMismatchError
-from .poly import DER, Monomial, Poly, Ring, check_action
+from .poly import DER, Poly, Ring, check_action
 
 Vector = dict[int, "int | Fraction"]
 
@@ -277,10 +277,6 @@ class Frame:
         self.bound = bound
         self.size = ring.frame_size(bound)
 
-    @property
-    def monomials(self) -> list[Monomial]:
-        return self.ring.monomials_upto(self.bound)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Frame):
             return self.ring == other.ring and self.bound == other.bound
@@ -396,8 +392,9 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     complement vector e_f - sum_p (row_p[f] / row_p[p]) * e_p, scaled to
     integers by the lcm of the pivot entries involved, and only these are
     eliminated.  The differentiation complement is the contraction one with
-    coordinate x^a scaled by 1/a!, which keeps every zero, so each row
-    stays reduced once scaled back to a primitive integer vector.
+    coordinate x^a scaled by 1/a!, read off the ring's weight table; that
+    keeps every zero, so each row stays reduced once scaled back to a
+    primitive integer vector.
     """
     ring = u.frame.ring
     check_action(ring, action)
@@ -418,7 +415,7 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     # complements of m o I^perp took 1.4-2.5 times as long
     ech.insert_all(sorted(kernel, key=lambda v: (len(v), -max(v))))
     if action == DER:
-        weight = [prod(map(factorial, m)) for m in u.frame.monomials]
+        weight = ring.weight_table(u.frame.bound)
         rescaled = {}
         for p, row in ech.rows.items():
             top = lcm(*(weight[k] for k in row))

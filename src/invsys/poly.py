@@ -176,10 +176,11 @@ class Ring:
     default apolarity action, and the degree cap bounding Artinianity
     searches.  Also owns the canonical monomial enumeration, grown lazily,
     which assigns every monomial a global index; frames of increasing degree
-    bound are prefixes of one another under this indexing.
+    bound are prefixes of one another under this indexing.  On it the ring
+    grows its raise, lower and a! tables, only as far as a caller asks.
 
-    Instances are immutable apart from write-once enumeration caches, and
-    safe to share between threads.
+    Instances are immutable apart from write-once enumeration and table
+    caches, and safe to share between threads.
     """
 
     def __init__(
@@ -209,6 +210,9 @@ class Ring:
         self._by_degree: list[list[Monomial]] = [[(0,) * nvars]]
         self._flat: list[Monomial] = [(0,) * nvars]
         self._index: dict[Monomial, int] = {(0,) * nvars: 0}
+        self._raise: list[list[int]] = [[] for _ in range(nvars)]
+        self._lower: list[list[Optional[tuple[int, int]]]] = [[] for _ in range(nvars)]
+        self._weight: list[int] = []
         self._grow_lock = threading.Lock()
 
     def __eq__(self, other: object) -> bool:
@@ -237,6 +241,39 @@ class Ring:
                 self._flat.extend(level)
                 self._index.update((m, start + k) for k, m in enumerate(level))
                 self._by_degree.append(level)
+
+    def _grow_tables(self, degree: int) -> None:
+        """Fill the three tables through the <=degree frame.  One thread grows
+        them at a time, weights last, so a reader that sees entry k of the
+        weights sees it in all three."""
+        size = self.frame_size(degree)
+        if len(self._weight) >= size:
+            return
+        self._grow(degree + 1)  # raising the top degree reaches the next one
+        with self._grow_lock:
+            monos, index = self._flat[len(self._weight) : size], self._index
+            for i, up in enumerate(self._raise):
+                up.extend([index[m[:i] + (m[i] + 1,) + m[i + 1 :]] for m in monos])
+            for i, down in enumerate(self._lower):
+                down.extend([(index[m[:i] + (m[i] - 1,) + m[i + 1 :]], m[i]) if m[i] else None for m in monos])
+            self._weight.extend([math.prod(map(math.factorial, m)) for m in monos])
+
+    def raise_table(self, degree: int) -> list[list[int]]:
+        """up[i][k] is the index of x_(i+1) * m_k, m_k the monomial at index
+        k; this and the other tables cover at least the <=degree frame."""
+        self._grow_tables(degree)
+        return self._raise
+
+    def lower_table(self, degree: int) -> list[list[Optional[tuple[int, int]]]]:
+        """down[i][k] is (the index of m_k / x_(i+1), the exponent e of
+        x_(i+1) in m_k), or None when e = 0."""
+        self._grow_tables(degree)
+        return self._lower
+
+    def weight_table(self, degree: int) -> list[int]:
+        """w[k] is a! = prod(a_i!) for m_k = x^a."""
+        self._grow_tables(degree)
+        return self._weight
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
         self._grow(d)
@@ -475,14 +512,8 @@ def sigma(g: Poly) -> Poly:
     """
     if g.ring.char != 0:
         raise CharacteristicError("sigma requires characteristic 0")
-    out = {}
-    for m, c in g.terms.items():
-        factor = 1
-        for e in m:
-            if e > 1:
-                factor *= math.factorial(e)
-        out[m] = c * factor
-    return Poly(g.ring, out)
+    # per term, not from the weight table: g may be sparse in a large frame
+    return Poly(g.ring, {m: c * math.prod(map(math.factorial, m)) for m, c in g.terms.items()})
 
 
 def top_form(h: Poly) -> Poly:

@@ -7,10 +7,10 @@ orthogonal complement, the colon ideal and the annihilator are each solved
 as a tracked kernel (``kernel_of_vectors``), and the axis certificate sets
 variables to zero.  A module's closure, m o M and the colon's unknowns are
 formed by applying each monomial to a polynomial with ``apply_action``,
-where the library lowers index vectors through one table.  They share only
-the echelon, the colon's solve and the module actions with the library,
-none of its span builder, read-off complement, lowering table or seeded
-caches, so they can cross-check those.
+where the library lowers index vectors through the ring's lower table.
+They share only the echelon, the colon's solve and the module actions with
+the library, none of its span builder, read-off complement, monomial tables
+or seeded caches, so they can cross-check those.
 
 The echelon itself is checked against ``rref``: dense Gauss-Jordan
 elimination over the field's own scalars (``Fraction`` or ``Fp``), with no

@@ -404,6 +404,13 @@ def test_pipe_between_subcommands(monkeypatch, capsys):
     assert (code, out2) == (0, "3\n")
 
 
+def test_name_prefixes_stripped_from_every_comma_piece(capsys):
+    code, out, _ = invoke(capsys, "is-ag", "--vars", "2", "g[1]=x1^2, g[2]=x2^2")
+    assert (code, out) == (0, "2\n")
+    code, out, _ = invoke(capsys, "socle", "--vars", "2", "g[1]=x1^2,x2^2\ng[3]=x1*x2")
+    assert (code, out) == (0, "g[1]=x1\ng[2]=x2\n")
+
+
 def test_weierstrass_and_ideal_wj(capsys):
     code, out, _ = invoke(capsys, "weierstrass-j", "--j", "0")
     assert (code, out) == (0, "-x1^3+x2^2*x3+x2*x3^2\n")

@@ -219,6 +219,7 @@ def test_sigma_basics(r3):
     assert sigma(Poly.one(r3)) == Poly.one(r3)
     assert sigma(P(r3, "x1^2*x2")) == P(r3, "2*x1^2*x2")
     assert sigma(P(r3, "x1*x2*x3")) == P(r3, "x1*x2*x3")
+    assert sigma(Poly.zero(r3)).is_zero()
 
 
 def test_sigma_rejects_char_p():
@@ -377,9 +378,16 @@ def test_primality_bound_is_named():
         Ring(2, 3317044064679887385961981 + 2)
 
 
+def _tables(ring, degree):
+    return ring.raise_table(degree), ring.lower_table(degree), ring.weight_table(degree)
+
+
 def test_ring_enumeration_grows_safely_across_threads():
-    # a tiny switch interval makes threads interleave inside the first growth
+    # a tiny switch interval makes threads interleave inside the first growth;
+    # half the threads grow the enumeration first, half the tables a degree
+    # at a time, which grows the enumeration under them
     degree, trials, workers = 10, 10, 4
+    expected = _tables(Ring(4, 0), degree)
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -387,20 +395,51 @@ def test_ring_enumeration_grows_safely_across_threads():
             ring = Ring(4, 0)
             start = threading.Barrier(workers)
 
-            def grow():
+            def grow(w):
                 start.wait()
-                ring.monomials_upto(degree)
+                if w % 2:
+                    ring.monomials_upto(degree)
+                for d in range(degree + 1):
+                    _tables(ring, d)
 
-            threads = [threading.Thread(target=grow) for _ in range(workers)]
+            threads = [threading.Thread(target=grow, args=(w,)) for w in range(workers)]
             for t in threads:
                 t.start()
             for t in threads:
-                t.join()
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
             size = ring.frame_size(degree)
             assert len(ring.monomials_upto(degree)) == size
             assert all(ring.index_of(ring.monomial_at(k)) == k for k in range(size))
+            assert _tables(ring, degree) == expected
     finally:
         sys.setswitchinterval(old)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5])
+def test_ring_tables_match_tuple_arithmetic(nvars):
+    degree = 6
+    ring = Ring(nvars, 0)
+    # grown in two steps, so an extended table is what gets checked
+    ring.lower_table(2)
+    up, down, weight = _tables(ring, degree)
+    for k, m in enumerate(ring.monomials_upto(degree)):
+        assert weight[k] == math.prod(math.factorial(e) for e in m)
+        for i in range(nvars):
+            e_i = tuple(int(j == i) for j in range(nvars))
+            assert ring.monomial_at(up[i][k]) == tuple(a + b for a, b in zip(m, e_i))
+            if m[i]:
+                j, e = down[i][k]
+                assert (ring.monomial_at(j), e) == (tuple(a - b for a, b in zip(m, e_i)), m[i])
+            else:
+                assert down[i][k] is None
+
+
+def test_rings_that_only_parse_and_format_build_no_tables():
+    ring = Ring(3, 0)
+    f = gen_pol(ring, 2, 4, 3, 11)
+    assert parse_poly(format_poly(f), ring) == f
+    assert (ring._raise, ring._lower, ring._weight) == ([[], [], []], [[], [], []], [])
 
 
 def test_prime_field_scalars():
