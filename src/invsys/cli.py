@@ -9,7 +9,14 @@ content as the text mode.
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 precondition
 violation (for example a non-Artinian input where an Artinian one is
 required), 4 inconclusive (the Artinianity search exhausted the degree cap,
-or a module frame exceeds it).
+or a module frame exceeds it).  Output that cannot be written also exits 3
+with one "error:" line, except a closed pipe: that ends the process by
+SIGPIPE, as it ends other Unix filters.
+
+Start-up: only the chosen subcommand's arguments are registered, and
+``main()`` flushes the output and ends the process with ``os._exit``,
+skipping interpreter teardown.  In-process callers use ``run()``, which
+returns the exit code.
 
 Generator input arguments are resolved in order: "-" reads stdin, an
 existing file path reads that file, anything else is taken as inline text.
@@ -21,11 +28,10 @@ subcommands pipe into each other.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, NoReturn, Optional
 
 from .artin import (
     IdealHandle,
@@ -134,6 +140,8 @@ def _make_ring(args) -> Ring:
 
 def _emit(args, ring_desc, action, result, diagnostics, text_lines) -> None:
     if args.format == "json":
+        import json  # text mode, the common case, does not load it
+
         doc = {
             "schemaVersion": 1,
             "command": args.command,
@@ -355,14 +363,22 @@ _OTHER_COMMANDS = {
 }
 
 
-def _build_parser() -> _Parser:
+def _build_parser(chosen: Optional[str] = None) -> _Parser:
+    """The parser of every subcommand, or only of ``chosen`` when it names one.
+
+    Every name is registered with its help either way, so the top-level help,
+    usage line and errors are the same; only the chosen one gets arguments.
+    """
     parser = _Parser(prog="invsys", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
     commands = [(name, row.help, _run_ring_command, len(row.operands), _RING_FLAGS)
                 for name, row in _RING_COMMANDS.items()]
     commands += [(name, text, handler, 0, flags) for name, (text, handler, flags) in _OTHER_COMMANDS.items()]
+    known = chosen in _RING_COMMANDS or chosen in _OTHER_COMMANDS
     for name, help_text, handler, operands, flags in commands:
         sub = subs.add_parser(name, help=help_text)
+        if known and name != chosen:
+            continue
         sub.set_defaults(handler=handler)
         for operand in _operand_names(operands):
             sub.add_argument(operand, help="generators: inline text, a file path, or - for stdin")
@@ -372,7 +388,9 @@ def _build_parser() -> _Parser:
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -393,8 +411,27 @@ def run(argv: Optional[list[str]] = None) -> int:
         return EXIT_PRECONDITION
 
 
-def main() -> None:
-    sys.exit(run())
+def main() -> NoReturn:
+    """Run the command line and end the process without interpreter teardown.
+
+    A closed pipe kills the process by SIGPIPE; any other ``OSError`` that
+    escapes ``run()`` or the flush, such as a full disk, is one error line and
+    exit 3.  Other exceptions propagate and print their traceback.
+    """
+    import signal  # here, so that importing the module does not load it
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    try:
+        code = run()
+        if sys.stdout is not None:  # None when the descriptor was closed at start
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_PRECONDITION
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,9 +1,11 @@
 """CLI behavior: verdict conventions, exit codes, piping, output stability."""
 
+import ast
 import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ import pytest
 
 import invsys
 from invsys import parse_poly, Ring
-from invsys.cli import run
+from invsys.cli import _build_parser, run
 
 
 def invoke(capsys, *argv):
@@ -456,17 +458,103 @@ def test_replay_fixtures_missing_dir(capsys):
     assert code == 3
 
 
+def _child_env():
+    env = dict(os.environ, PYTHONPATH=str(Path(invsys.__file__).resolve().parent.parent))
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as by default
+    return env
+
+
 def test_cli_import_loads_no_elliptic_fixtures_or_dataclasses():
-    # a fresh interpreter: importing the CLI adds neither the elliptic and
-    # fixtures modules nor dataclasses, unless the interpreter had it already
+    # a fresh interpreter: importing the CLI and running a text-mode ring
+    # command adds neither the elliptic and fixtures modules nor dataclasses,
+    # unless the interpreter had it already, and never loads json
     code = (
-        "import json, sys; before = set(sys.modules); import invsys.cli; "
-        "print(json.dumps(sorted(set(sys.modules) - before)))"
+        "import sys; before = set(sys.modules); import invsys.cli; "
+        "invsys.cli.run(['hilbert', '--vars', '3', 'x1^2,x2^2,x3^2']); "
+        "print(sorted(set(sys.modules) - before)); print('json' in sys.modules)"
     )
-    src = str(Path(invsys.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    loaded = set(json.loads(done.stdout))
+    answer, loaded, has_json = done.stdout.splitlines()
+    loaded = set(ast.literal_eval(loaded))
+    assert answer == "1,3,3,1"
     assert "invsys.cli" in loaded
     assert not loaded & {"invsys.elliptic", "invsys.fixtures", "dataclasses"}
+    assert has_json == "False"
+
+
+# -- the entry point: `python -m invsys` runs main(), which ends the process itself ------------
+
+
+def _entry_point(*argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "invsys", *argv], env=_child_env(), timeout=120, **kwargs)
+
+
+BIG_GEN_POL = ("gen-pol", "--vars", "8", "--deg-min", "6", "--deg-max", "7", "--bound", "3", "--seed", "1")
+
+# usage errors that the top-level parser reports, and its help
+TOP_LEVEL = [
+    ("is-ag", "--vars", "3", "x1^2", "extra"),  # unrecognized argument
+    ("is-agg", "--vars", "3", "x1^2"),  # invalid choice
+    (),  # no subcommand
+    ("-h",),
+]
+
+# one invocation per exit code 0-4, a JSON one and one whose output outgrows a pipe buffer
+ENTRY_POINT = [
+    ("hilbert", "--vars", "3", CI3),
+    ("inv-syst", "--vars", "3", "--format", "json", CI3),
+    BIG_GEN_POL,
+    ("is-ag", "--vars", "3"),
+    ("is-ag", "--vars", "3", "x1^2+"),
+    ("socle", "--vars", "3", "x1^2+x2^3, x2^4"),
+    ("hilbert", "--vars", "2", "--max-degree", "4", "x1^2+x2^2"),
+    *TOP_LEVEL,
+]
+
+
+def _argv_id(argv):
+    return " ".join(argv) or "no-arguments"
+
+
+@pytest.mark.parametrize("argv", ENTRY_POINT, ids=_argv_id)
+def test_entry_point_matches_run(capsys, argv):
+    done = _entry_point(*argv, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == invoke(capsys, *argv)
+
+
+def test_entry_point_covers_every_exit_code(capsys):
+    assert sorted({invoke(capsys, *argv)[0] for argv in ENTRY_POINT}) == [0, 1, 2, 3, 4]
+    assert len(invoke(capsys, *BIG_GEN_POL)[1].encode()) > 65536
+
+
+@pytest.mark.parametrize("argv", TOP_LEVEL + [("is-ag", "--help")], ids=_argv_id)
+def test_top_level_output_matches_full_parser(capsys, argv):
+    # run() gives only the chosen subcommand its arguments; what it prints
+    # must be what the parser of every subcommand prints
+    try:
+        _build_parser().parse_args(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    full = (code, *capsys.readouterr())
+    assert invoke(capsys, *argv) == full
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_pipe_ends_process_by_sigpipe():
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _entry_point("hilbert", "--vars", "3", CI3, stdout=write, stderr=subprocess.PIPE)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (-signal.SIGPIPE, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [("hilbert", "--vars", "3", CI3), BIG_GEN_POL], ids=["at-flush", "at-write"])
+def test_unwritable_output_exits_3_with_one_line(argv):
+    with open("/dev/full", "w") as full:
+        done = _entry_point(*argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert done.returncode == 3
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
