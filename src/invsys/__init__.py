@@ -16,7 +16,7 @@ _MODULES = {
         "NotArtinError", "ParseError", "SingularCurveError", "VerificationError",
     ),
     "poly": (
-        "ACTIONS", "CONT", "DER", "Fp", "Poly", "Ring", "apply_action", "apply_cont", "apply_der",
+        "ACTIONS", "CONT", "DER", "Poly", "Ring", "apply_action", "apply_cont", "apply_der",
         "check_action", "format_poly", "gen_pol", "parse_poly", "sigma", "top_form",
     ),
     "linalg": ("Echelon", "Frame", "SubspaceBasis", "perp_space", "span_of"),

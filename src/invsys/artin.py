@@ -55,9 +55,8 @@ from .linalg import (
     _projected,
     kernel_of_vectors,  # noqa: F401  unused; the benchmark's tracer looks it up here
     perp_space,
-    poly_to_vector,
 )
-from .poly import CONT, DER, Poly, Ring, format_poly
+from .poly import CONT, DER, Poly, Ring, _lowered, format_poly
 
 
 class ArtinStatus(NamedTuple):
@@ -145,21 +144,9 @@ def _extended(ring: Ring, ech: Echelon, gens: list[Poly], bound: int) -> tuple[E
     out.insert_all(vecs)
     added = [
         g for g in gens
-        if g.order() <= bound and out.insert(poly_to_vector(g.truncated(bound))) is not None
+        if g.order() <= bound and out.insert(g.truncated(bound).vec) is not None
     ]
     return out, added
-
-
-def _lowered(down: list[Optional[tuple[int, int]]], vec: Vector, action: str) -> Vector:
-    """x_i o vec from x_i's entries in the ring's lower table: under
-    differentiation the exponent multiplies, under contraction nothing does."""
-    weighted, out = action == DER, {}
-    for j, c in vec.items():
-        ke = down[j]
-        if ke is not None:
-            k, e = ke
-            out[k] = c * e if weighted and e != 1 else c
-    return out
 
 
 def _orbit(ring: Ring, vec: Vector, bound: int, action: str) -> Iterator[Vector]:
@@ -176,7 +163,7 @@ def _orbit(ring: Ring, vec: Vector, bound: int, action: str) -> Iterator[Vector]
         layer = []
         for j in range(ring.frame_size(d - 1), ring.frame_size(d)):
             low = next(low for low in down if low[j] is not None)
-            layer.append(_lowered(low, prev[low[j][0] - start], action))
+            layer.append(_lowered(low, prev[low[j][0] - start], action == DER))
         yield from layer
         prev, start = layer, ring.frame_size(d - 1)
 
@@ -190,7 +177,7 @@ def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
     rows = span.echelon.rows.values()
     vecs = [
         vec for down in ring.lower_table(span.frame.bound)
-        for vec in (_lowered(down, row, action) for row in rows) if vec
+        for vec in (_lowered(down, row, action == DER) for row in rows) if vec
     ]
     # lowest highest index first: in-process, deep_socle ran 17% slower
     # without it (grid_q flat)

@@ -13,10 +13,10 @@ or a module frame exceeds it).  Output that cannot be written also exits 3
 with one "error:" line, except a closed pipe: that ends the process by
 SIGPIPE, as it ends other Unix filters.
 
-Start-up: only the chosen subcommand's arguments are registered, and
-``main()`` flushes the output and ends the process with ``os._exit``,
-skipping interpreter teardown.  In-process callers use ``run()``, which
-returns the exit code.
+Start-up: only the chosen subcommand is registered, ``fractions`` is
+imported only to read a ``--j`` value, and ``main()`` flushes the output and
+ends the process with ``os._exit``, skipping interpreter teardown.
+In-process callers use ``run()``, which returns the exit code.
 
 Generator input arguments are resolved in order: "-" reads stdin, an
 existing file path reads that file, anything else is taken as inline text.
@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple, NoReturn, Optional
 
 from .artin import (
@@ -339,7 +338,19 @@ _RING_FLAGS = (
                           help="degree cap for Artinianity searches and module frames (default 64)")),
     ("--format", dict(choices=["text", "json"], default="text", help="output mode (default text)")),
 )
-_J_FLAG = ("--j", dict(type=Fraction, required=True, help="rational j value, e.g. 5 or 6912/31"))
+
+
+def _rational(text: str):
+    """A --j value; ``fractions`` is imported only by the commands that take one."""
+    from fractions import Fraction
+
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
+_J_FLAG = ("--j", dict(type=_rational, required=True, help="rational j value, e.g. 5 or 6912/31"))
 # name -> (help, handler, flags); these take no generator operands
 _OTHER_COMMANDS = {
     "gen-pol": ("reproducible random polynomial", _run_gen_pol, _RING_FLAGS + (
@@ -353,7 +364,7 @@ _OTHER_COMMANDS = {
         "quadric ideal whose inverse system is the j-moduli cubic", _run_ideal_wj, (_J_FLAG, _FORMAT_FLAG)
     ),
     "verify-classification": ("machine-check the eight {1,3,3,1} table rows", _run_verify_classification, (
-        ("--j", dict(type=Fraction, default=Fraction(2), help="modulus for the generic elliptic row")),
+        ("--j", dict(type=_rational, default="2", help="modulus for the generic elliptic row")),
         _FORMAT_FLAG,
     )),
     "replay-fixtures": ("re-run the recorded session fixtures", _run_replay, (
@@ -366,19 +377,22 @@ _OTHER_COMMANDS = {
 def _build_parser(chosen: Optional[str] = None) -> _Parser:
     """The parser of every subcommand, or only of ``chosen`` when it names one.
 
-    Every name is registered with its help either way, so the top-level help,
-    usage line and errors are the same; only the chosen one gets arguments.
+    With one subcommand registered, the metavar lists every name, so the
+    usage line is the same; a parse that reaches the top-level help, a
+    missing command or an invalid choice has no known ``chosen`` and so gets
+    the full tree.
     """
     parser = _Parser(prog="invsys", description=__doc__.splitlines()[0])
-    subs = parser.add_subparsers(dest="command", required=True)
     commands = [(name, row.help, _run_ring_command, len(row.operands), _RING_FLAGS)
                 for name, row in _RING_COMMANDS.items()]
     commands += [(name, text, handler, 0, flags) for name, (text, handler, flags) in _OTHER_COMMANDS.items()]
     known = chosen in _RING_COMMANDS or chosen in _OTHER_COMMANDS
+    metavar = "{" + ",".join(name for name, *_ in commands) + "}" if known else None
+    subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, help_text, handler, operands, flags in commands:
-        sub = subs.add_parser(name, help=help_text)
         if known and name != chosen:
             continue
+        sub = subs.add_parser(name, help=help_text)
         sub.set_defaults(handler=handler)
         for operand in _operand_names(operands):
             sub.add_argument(operand, help="generators: inline text, a file path, or - for stdin")

@@ -35,24 +35,8 @@ from typing import Optional
 
 from .artin import IdealHandle, _orbit, maximal_action, minimal_ideal, require_artin, truncation_span
 from .errors import DegreeCapError, VerificationError
-from .linalg import (
-    Echelon,
-    Frame,
-    SubspaceBasis,
-    perp_space,
-    poly_to_vector,
-    solve_combination,
-    span_of,
-    vector_to_poly,
-)
-from .poly import (
-    Poly,
-    Ring,
-    apply_action,
-    check_action,
-    format_poly,
-    top_form,
-)
+from .linalg import Echelon, Frame, SubspaceBasis, perp_space, solve_combination, span_of
+from .poly import Poly, Ring, _poly, apply_action, check_action, format_poly, top_form
 
 
 class SubmoduleHandle:
@@ -92,7 +76,7 @@ class SubmoduleHandle:
                 )
             ech = Echelon(ring.char)
             for g in self.generators:
-                orbit = _orbit(ring, poly_to_vector(g), g.degree(), self.action)
+                orbit = _orbit(ring, g.vec, g.degree(), self.action)
                 ech.insert_all(vec for vec in orbit if vec)
             self._closure = ech
         return self._closure
@@ -119,7 +103,7 @@ def member_ih(g: Poly, module: SubmoduleHandle) -> bool:
         return True
     if g.degree() > module.degree_bound:
         return False
-    return module.closure().contains(poly_to_vector(g))
+    return module.closure().contains(g.vec)
 
 
 def _check_compatible(a: SubmoduleHandle, b: SubmoduleHandle) -> None:
@@ -157,7 +141,7 @@ def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
 
     selected = []
     for g in sorted(module.generators, key=sort_key):
-        if ech.insert(poly_to_vector(g)) is not None:
+        if ech.insert(g.vec) is not None:
             selected.append(g)
     return selected
 
@@ -217,12 +201,14 @@ def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[P
         raise DegreeCapError(f"module degree {d} exceeds degree cap {ring.max_degree_cap}")
     if g.degree() > d:
         return None
-    # unknown k is the monomial at index k; its vector is x^a o f
-    vectors = _orbit(ring, poly_to_vector(f), d, action)
-    sol = solve_combination(vectors, poly_to_vector(g), ring.frame_size(d), ring.char)
+    # unknown k is the monomial at index k; its vector is x^a o (den f * f),
+    # and the target is den g * g, so h is the solution times den f / den g
+    vectors = _orbit(ring, f.vec, d, action)
+    sol = solve_combination(vectors, g.vec, ring.frame_size(d), ring.char)
     if sol is None:
         return None
-    h = vector_to_poly(ring, sol)
+    vec, scale = sol
+    h = _poly(ring, {k: c * f.den for k, c in vec.items()}, scale * g.den)
     if apply_action(action, h, f) != g:
         raise VerificationError("colon solution fails the check h o f = g")
     return h

@@ -175,11 +175,13 @@ def classification_table(
 ) -> list[ClassificationRow]:
     """The eight table rows; the generic elliptic row is instantiated at ``j``.
 
-    ``j`` must avoid 0 and 1728 (those moduli have their own rows).
+    ``j`` is anything ``Fraction`` reads, such as 2, "-7/3" or a Fraction,
+    and must avoid 0 and 1728 (those moduli have their own rows).
     """
     if ring is None:
         ring = default_ring()
     _require_char0_3vars(ring)
+    j = Fraction(j)
     rows = []
     special_j = {5: Fraction(0), 6: Fraction(1728)}
     for k, (label, models, inverse) in enumerate(_TABLE_MODELS):
@@ -195,7 +197,7 @@ def classification_table(
             f"Elliptic curve j={j}",
             ideal_wj(j, ring).generators,
             weierstrass_j(j, ring),
-            Fraction(j),
+            j,
         )
     )
     return rows

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-from fractions import Fraction
 from importlib import resources
 from typing import Optional
 
@@ -80,7 +79,7 @@ def _run_check(check: dict, ring: Ring, action: str) -> bool:
         b = SubmoduleHandle(ring, parse(check["other"]), action)
         return int(eq_mod_ih(a, b)) == check["expect"]
     if kind == "classification_table":
-        rows = classification_table(Fraction(check["j"]))
+        rows = classification_table(check["j"])
         return all(verify_row(row).passed for row in rows)
     raise ValueError(f"unknown fixture check kind {kind!r}")
 

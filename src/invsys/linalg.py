@@ -1,14 +1,9 @@
 """Exact linear algebra on monomial-indexed coordinate spaces.
 
-Vectors are sparse maps from a ring's global monomial index to nonzero
-scalars.  Because the canonical monomial order is graded, the coordinates of
-a degree-<=D frame form a prefix of every larger frame, so enlarging a frame
-never relabels coordinates.
-
-Over F_p a vector scalar is a plain int residue; over Q it is an ``int``
-when integral and a ``Fraction`` otherwise.  ``poly_to_vector`` and
-``vector_to_poly`` are the boundary with ``Poly``, whose coefficients are
-``Fp`` or ``Fraction``.
+Vectors are sparse maps from a ring's global monomial index to nonzero ints,
+the form a ``Poly`` holds as ``vec``.  Because the canonical monomial order is
+graded, the coordinates of a degree-<=D frame form a prefix of every larger
+frame, so enlarging a frame never relabels coordinates.
 
 Subspaces are kept in fully reduced row-echelon form by one integer kernel
 for both fields: each row has its pivot at its lowest index, pivot columns
@@ -18,53 +13,27 @@ vector (its entries have gcd 1) with a positive pivot, the multiple of the
 reduced row row / row[pivot] with the least positive pivot.  Both forms are
 unique per subspace, which makes subspace equality literal equality of the
 row maps and keeps all outputs deterministic; readers that need the reduced
-row's values divide by the pivot.
+row's values divide by the pivot, as a Poly does with its ``den``.
 
-Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968).  A vector
-entering over Q has its denominators cleared, one entering over F_p is
-reduced mod p.  To cancel an entry c against a row with pivot entry a,
-``Echelon.reduce`` divides both by g = gcd(a, c) and forms
-(a/g) * vec - (c/g) * row, so over Q it returns a positive multiple of the
-residue.  ``Echelon.insert`` back-substitutes the new row only into the rows
-that hold its pivot column, found through a column index (each non-pivot
-column mapped to the set of pivots whose rows hold it), and divides each
-row it touched by its content.
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968).  Vectors enter
+integral over Q, and over F_p they are reduced mod p.  To cancel an entry c
+against a row with pivot entry a, ``Echelon.reduce`` divides both by
+g = gcd(a, c) and forms (a/g) * vec - (c/g) * row, so over Q it returns a
+positive multiple of the residue.  ``Echelon.insert`` back-substitutes the new
+row only into the rows that hold its pivot column, found through a column
+index (each non-pivot column mapped to the set of pivots whose rows hold it),
+and divides each row it touched by its content.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import FrameMismatchError
-from .poly import DER, Poly, Ring, check_action
+from .poly import DER, Poly, Ring, _poly, check_action
 
-Vector = dict[int, "int | Fraction"]
-
-
-def poly_to_vector(p: Poly) -> Vector:
-    index = p.ring.index_of
-    if p.ring.char:
-        return {index(m): c.v for m, c in p.terms.items()}
-    return {index(m): c.numerator if c.denominator == 1 else c for m, c in p.terms.items()}
-
-
-def vector_to_poly(ring: Ring, vec: Vector, scale: int = 1) -> Poly:
-    """The polynomial with coefficient vec[i] / scale at monomial i; an
-    echelon row divided by its pivot entry is its reduced row."""
-    at = ring.monomial_at
-    if scale == 1:
-        coerce = ring.field.coerce
-        return Poly(ring, {at(i): coerce(c) for i, c in vec.items()})
-    ratio = ring.field.from_ratio
-    return Poly(ring, {at(i): ratio(c, scale) for i, c in vec.items()})
-
-
-def _ratio(num: int, den: int) -> "int | Fraction":
-    """num / den as a vector scalar over Q: an int when integral."""
-    q, m = divmod(num, den)
-    return Fraction(num, den) if m else q
+Vector = dict[int, int]
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
@@ -137,10 +106,6 @@ class Echelon:
                         del out[k]
             return out
         out = dict(vec)
-        # the sum of the entries is an int exactly when no entry is a Fraction
-        if type(sum(out.values())) is not int:
-            den = lcm(*(c.denominator for c in out.values() if type(c) is not int))
-            out = {k: int(c * den) for k, c in out.items()}
         for p in [p for p in out if p in rows]:
             c = out.get(p)
             if not c:
@@ -302,7 +267,7 @@ class SubspaceBasis:
     def row_polys(self) -> list[Poly]:
         """The reduced basis rows as polynomials, ordered by pivot."""
         ring = self.frame.ring
-        return [vector_to_poly(ring, row, row[p]) for p, row in sorted(self.echelon.rows.items())]
+        return [_poly(ring, dict(row), row[p]) for p, row in sorted(self.echelon.rows.items())]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SubspaceBasis):
@@ -323,7 +288,7 @@ def span_of(polys: Sequence[Poly], frame: Frame) -> SubspaceBasis:
             raise FrameMismatchError(
                 f"degree {p.degree()} exceeds frame bound {frame.bound}"
             )
-        ech.insert(poly_to_vector(p))
+        ech.insert(p.vec)
     return SubspaceBasis(frame, ech)
 
 
@@ -352,33 +317,23 @@ def kernel_of_vectors(vectors: Sequence[Vector], width: int, char: int) -> list[
     ]
 
 
-def residue(ech: Echelon, vec: Vector) -> Vector:
-    """The residue of ``vec`` modulo ech's span, with exact vector scalars.
-
-    Over F_p that is ``reduce``'s result.  Over Q ``reduce`` returns a
-    multiple of it, so the vector is tagged with 1 at coordinate -1, which no
-    row holds, and the residue is divided by what the tag reads.
-    """
-    if ech.char:
-        return ech.reduce(vec)
-    res = ech.reduce({**vec, -1: 1})
-    scale = res.pop(-1)
-    return {k: _ratio(c, scale) for k, c in res.items()}
-
-
 def solve_combination(
     vectors: Iterable[Vector], target: Vector, width: int, char: int
-) -> Optional[Vector]:
-    """Coefficients c with sum_k c_k * vectors[k] = target, or None.
+) -> Optional[tuple[Vector, int]]:
+    """Coefficients c and a scale s > 0 with sum_k (c_k / s) * vectors[k] =
+    target, or None; over F_p the scale is 1.
 
     Deterministic: reduces against an echelon built by inserting the vectors
     in order, so the returned combination is canonical for a given input
-    order.  Keys of the result are positions into ``vectors``.
+    order.  Keys of the result are positions into ``vectors``.  The target is
+    tagged with 1 at coordinate -1, which no row holds, so the scale is what
+    the tag reads after ``reduce``.
     """
-    res = residue(_tracked(vectors, width, char), target)
+    res = _tracked(vectors, width, char).reduce({**target, -1: 1})
+    scale = res.pop(-1)
     if any(k < width for k in res):
         return None
-    return {k - width: -c % char if char else -c for k, c in res.items()}
+    return {k - width: -c % char if char else -c for k, c in res.items()}, scale
 
 
 def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:

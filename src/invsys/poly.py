@@ -16,15 +16,21 @@ selection alike: ascending total degree, then within a degree exponent
 tuples in descending lexicographic order, so x1-heavy monomials come first
 (1, x1, x2, x3, x1^2, x1*x2, x1*x3, x2^2, x2*x3, x3^2, ...).  Because degree
 is the primary key, the monomials of a degree-<=D frame are a prefix of
-every larger frame's.
+every larger frame's, and each monomial has one global index.
+
+A Poly is its coordinate vector: ``vec`` maps the global index of a monomial
+to a nonzero int, and the coefficient there is vec[k] / den for one positive
+int ``den``.  Over F_p, den is 1 and the entries are residues in [0, p); over
+Q, gcd(den, entries) = 1.  Both forms are unique, so equality of polynomials
+is literal equality, and ``vec`` is the integral vector that
+:mod:`invsys.linalg` eliminates, a positive multiple of the polynomial.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from .errors import CharacteristicError, ParseError
 
@@ -36,105 +42,6 @@ CONT = "cont"
 ACTIONS = (DER, CONT)
 
 _MASK64 = (1 << 64) - 1
-
-
-class Fp:
-    """An element of the prime field F_p, stored as a residue in [0, p)."""
-
-    __slots__ = ("v", "p")
-
-    def __init__(self, v: int, p: int):
-        self.v = v % p
-        self.p = p
-
-    def __add__(self, other: "Fp") -> "Fp":
-        return Fp(self.v + other.v, self.p)
-
-    def __sub__(self, other: "Fp") -> "Fp":
-        return Fp(self.v - other.v, self.p)
-
-    def __neg__(self) -> "Fp":
-        return Fp(-self.v, self.p)
-
-    def __mul__(self, other: "Fp") -> "Fp":
-        return Fp(self.v * other.v, self.p)
-
-    def __truediv__(self, other: "Fp") -> "Fp":
-        if other.v == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        return Fp(self.v * pow(other.v, self.p - 2, self.p), self.p)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Fp):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.v))
-
-    def __bool__(self) -> bool:
-        return self.v != 0
-
-    def __repr__(self) -> str:
-        return f"Fp({self.v}, {self.p})"
-
-    def __str__(self) -> str:
-        return str(self.v)
-
-
-Scalar = Union[Fraction, Fp]
-
-
-class RationalField:
-    """The field Q; scalars are ``fractions.Fraction`` values."""
-
-    characteristic = 0
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
-
-    def coerce(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into Q")
-
-    def from_ratio(self, num: int, den: int) -> Fraction:
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        return Fraction(num, den)
-
-
-class PrimeField:
-    """The field F_p for a prime p; scalars are :class:`Fp` residues."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.characteristic = p
-        self.zero = Fp(0, p)
-        self.one = Fp(1, p)
-
-    def coerce(self, x) -> Fp:
-        if isinstance(x, Fp):
-            if x.p != self.p:
-                raise TypeError(f"F_{x.p} element used in F_{self.p}")
-            return x
-        if isinstance(x, int):
-            return Fp(x, self.p)
-        if isinstance(x, Fraction):
-            return self.from_ratio(x.numerator, x.denominator)
-        raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
-
-    def from_ratio(self, num: int, den: int) -> Fp:
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den % self.p == 0:
-            raise ZeroDivisionError(f"denominator divisible by characteristic {self.p}")
-        return Fp(num, self.p) / Fp(den, self.p)
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -172,12 +79,14 @@ def _monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
 class Ring:
     """Ambient context shared by all values of one computation.
 
-    Records the number of variables, the coefficient field (Q or F_p), the
-    default apolarity action, and the degree cap bounding Artinianity
+    Records the number of variables, the characteristic (0 or a prime p),
+    the default apolarity action, and the degree cap bounding Artinianity
     searches.  Also owns the canonical monomial enumeration, grown lazily,
     which assigns every monomial a global index; frames of increasing degree
     bound are prefixes of one another under this indexing.  On it the ring
-    grows its raise, lower and a! tables, only as far as a caller asks.
+    grows its raise, lower and a! tables, only as far as a caller asks.  A
+    monomial beyond the enumeration is ranked by counting, so a polynomial
+    of high degree does not grow it.
 
     Instances are immutable apart from write-once enumeration and table
     caches, and safe to share between threads.
@@ -198,7 +107,6 @@ class Ring:
             raise ValueError("degree cap must be positive")
         self.nvars = nvars
         self.char = char
-        self.field = RationalField() if char == 0 else PrimeField(char)
         if default_action is None:
             default_action = DER if char == 0 else CONT
         if default_action not in ACTIONS:
@@ -285,106 +193,174 @@ class Ring:
         return self._flat[: self.frame_size(degree)]
 
     def index_of(self, mono: Monomial) -> int:
-        """Global canonical index of a monomial."""
+        """Global canonical index of a monomial: those of lower degree come
+        first, then those of its degree with a lexicographically larger
+        exponent tuple."""
         idx = self._index.get(mono)
-        if idx is None:
-            self._grow(sum(mono))
-            idx = self._index[mono]
+        if idx is not None:
+            return idx
+        n, rest = self.nvars, sum(mono)
+        idx = self.frame_size(rest - 1)
+        for i, e in enumerate(mono[:-1]):
+            # those that agree before x_(i+1) and exceed e there
+            if rest > e:
+                idx += math.comb(rest - e - 2 + n - i, n - 1 - i)
+            rest -= e
         return idx
 
     def monomial_at(self, index: int) -> Monomial:
-        while index >= len(self._flat):
-            self._grow(len(self._by_degree))
-        return self._flat[index]
+        flat = self._flat
+        if index < len(flat):
+            return flat[index]
+        n, rest = self.nvars, self.degree_at(index)
+        index -= self.frame_size(rest - 1)
+        mono = []
+        for i in range(n - 1):
+            # blocks of equal exponent e of x_(i+1), largest e first
+            e = rest
+            while index >= (block := math.comb(rest - e + n - 2 - i, n - 2 - i)):
+                index -= block
+                e -= 1
+            mono.append(e)
+            rest -= e
+        return tuple(mono) + (rest,)
+
+    def degree_at(self, index: int) -> int:
+        """Total degree of the monomial at ``index``: the least d whose frame
+        holds more than ``index`` monomials."""
+        if index < len(self._flat):
+            return sum(self._flat[index])
+        lo, hi = 0, 1
+        while self.frame_size(hi) <= index:
+            lo, hi = hi + 1, 2 * hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.frame_size(mid) > index:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def frame_size(self, degree: int) -> int:
-        """dim of the span of monomials of degree <= ``degree``."""
-        return math.comb(self.nvars + degree, self.nvars)
+        """dim of the span of monomials of degree <= ``degree``; 0 below 0."""
+        return math.comb(self.nvars + degree, self.nvars) if degree >= 0 else 0
+
+
+def _normal(char: int, vec: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """The unique (vec, den) of the coefficients vec[k] / den: int entries,
+    zeros allowed, and den > 0, which is 1 over F_p."""
+    if char:
+        return {k: r for k, c in vec.items() if (r := c % char)}, 1
+    vec = {k: c for k, c in vec.items() if c}
+    if den == 1 or not vec:
+        return vec, 1
+    g = math.gcd(den, *vec.values())
+    if g == 1:
+        return vec, den
+    return {k: c // g for k, c in vec.items()}, den // g
+
+
+def _poly(ring: Ring, vec: dict[int, int], den: int = 1) -> "Poly":
+    """The Poly with coefficient vec[k] / den at index k; see ``_normal``."""
+    out = object.__new__(Poly)
+    out.ring = ring
+    out.vec, out.den = _normal(ring.char, vec, den)
+    return out
+
+
+def _from_ratios(ring: Ring, items: list[tuple[int, int, int]]) -> "Poly":
+    """The sum of (num / den) * m_k over the items (k, num, den), den > 0
+    and prime to the characteristic."""
+    p = ring.char
+    den = 1 if p else math.lcm(*(b for _, _, b in items))
+    vec: dict[int, int] = {}
+    for k, a, b in items:
+        vec[k] = vec.get(k, 0) + (a * pow(b, -1, p) if p else a * (den // b))
+    return _poly(ring, vec, den)
 
 
 class Poly:
-    """An immutable polynomial: a finite map from monomials to nonzero scalars.
+    """An immutable polynomial, held as its coordinate vector ``vec`` over
+    one denominator ``den`` (see the module docstring).
 
-    The zero polynomial has an empty term map and degree() == -1 (the
-    distinguished "minus infinity" marker).  All arithmetic returns fresh
-    values; no coefficient stored is ever zero, so equality of polynomials is
-    equality of their term maps.
+    ``Poly(ring, terms)`` takes a map from exponent tuples to ints or
+    rationals (any value with ``numerator`` and ``denominator``); over F_p
+    each is reduced mod p.  The zero polynomial has an empty vector and
+    degree() == -1 (the distinguished "minus infinity" marker).  All
+    arithmetic returns fresh values.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "vec", "den")
 
-    def __init__(self, ring: Ring, terms: dict[Monomial, Scalar]):
-        self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c}
+    def __init__(self, ring: Ring, terms: dict):
+        index = ring.index_of
+        made = _from_ratios(ring, [(index(m), c.numerator, c.denominator) for m, c in terms.items() if c])
+        self.ring, self.vec, self.den = ring, made.vec, made.den
+
+    @property
+    def terms(self) -> dict[Monomial, int]:
+        """A fresh map from exponent tuple to entry: the coefficient of x^m
+        is terms[m] / den, so over F_p it is the residue itself."""
+        at = self.ring.monomial_at
+        return {at(k): c for k, c in self.vec.items()}
 
     @classmethod
     def zero(cls, ring: Ring) -> "Poly":
-        return cls(ring, {})
+        return _poly(ring, {})
 
     @classmethod
     def one(cls, ring: Ring) -> "Poly":
-        return cls(ring, {(0,) * ring.nvars: ring.field.one})
-
-    @classmethod
-    def constant(cls, ring: Ring, c) -> "Poly":
-        return cls(ring, {(0,) * ring.nvars: ring.field.coerce(c)})
+        return _poly(ring, {0: 1})
 
     @classmethod
     def variable(cls, ring: Ring, i: int) -> "Poly":
         """The variable x_i, 1-based."""
         if not 1 <= i <= ring.nvars:
             raise ValueError(f"variable index {i} out of range 1..{ring.nvars}")
-        exps = [0] * ring.nvars
-        exps[i - 1] = 1
-        return cls(ring, {tuple(exps): ring.field.one})
+        return _poly(ring, {i: 1})
 
     @classmethod
-    def monomial(cls, ring: Ring, mono: Monomial, coeff=None) -> "Poly":
+    def monomial(cls, ring: Ring, mono: Monomial, coeff=1) -> "Poly":
         if len(mono) != ring.nvars:
             raise ValueError("monomial arity mismatch")
-        c = ring.field.one if coeff is None else ring.field.coerce(coeff)
-        return cls(ring, {tuple(mono): c})
+        return cls(ring, {tuple(mono): coeff})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.vec
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
+        return self.ring.degree_at(max(self.vec)) if self.vec else -1
 
     def order(self) -> int:
         """Least total degree of a term; -1 for the zero polynomial."""
-        return min((sum(m) for m in self.terms), default=-1)
+        return self.ring.degree_at(min(self.vec)) if self.vec else -1
 
-    def coeff(self, mono: Monomial) -> Scalar:
-        return self.terms.get(tuple(mono), self.ring.field.zero)
+    def coeff(self, mono: Monomial) -> int:
+        """The entry at x^mono: the coefficient times ``den``."""
+        return self.vec.get(self.ring.index_of(tuple(mono)), 0)
 
-    def constant_term(self) -> Scalar:
-        return self.coeff((0,) * self.ring.nvars)
-
-    def sorted_terms(self) -> list[tuple[Monomial, Scalar]]:
-        """Terms in canonical order (degree ascending, x1-heavy first)."""
-        return sorted(
-            self.terms.items(),
-            key=lambda mc: (sum(mc[0]), tuple(-e for e in mc[0])),
-        )
+    def constant_term(self) -> int:
+        return self.vec.get(0, 0)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
+        return self.degree() == self.order()
+
+    def _between(self, lo: int, hi: int) -> "Poly":
+        return _poly(self.ring, {k: c for k, c in self.vec.items() if lo <= k < hi}, self.den)
 
     def homogeneous_component(self, d: int) -> "Poly":
-        return Poly(self.ring, {m: c for m, c in self.terms.items() if sum(m) == d})
+        return self._between(self.ring.frame_size(d - 1), self.ring.frame_size(d))
 
     def truncated(self, degree: int) -> "Poly":
         """Drop every term of total degree > ``degree``."""
-        return Poly(self.ring, {m: c for m, c in self.terms.items() if sum(m) <= degree})
+        return self._between(0, self.ring.frame_size(degree))
 
     def scaled(self, c) -> "Poly":
-        c = self.ring.field.coerce(c)
-        if not c:
-            return Poly.zero(self.ring)
-        return Poly(self.ring, {m: v * c for m, v in self.terms.items()})
+        """c * self for an int or rational c."""
+        p = self.ring.char
+        a = c.numerator * pow(c.denominator, -1, p) if p else c.numerator
+        return _poly(self.ring, {k: v * a for k, v in self.vec.items()}, 1 if p else self.den * c.denominator)
 
     def _check_same_ring(self, other: "Poly") -> None:
         if self.ring != other.ring:
@@ -392,18 +368,15 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_same_ring(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return Poly(self.ring, out)
+        den = math.lcm(self.den, other.den)
+        out = {k: c * (den // self.den) for k, c in self.vec.items()}
+        b = den // other.den
+        for k, c in other.vec.items():
+            out[k] = out.get(k, 0) + c * b
+        return _poly(self.ring, out, den)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.ring, {m: -c for m, c in self.terms.items()})
+        return _poly(self.ring, {k: -c for k, c in self.vec.items()}, self.den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -412,25 +385,21 @@ class Poly:
         if not isinstance(other, Poly):
             return self.scaled(other)
         self._check_same_ring(other)
-        out: dict[Monomial, Scalar] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
-                m = tuple(a + b for a, b in zip(ma, mb))
-                s = out.get(m)
-                p = ca * cb
-                s = p if s is None else s + p
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Poly(self.ring, out)
+        at, index = self.ring.monomial_at, self.ring.index_of
+        out: dict[int, int] = {}
+        for i, a in self.vec.items():
+            mi = at(i)
+            for j, b in other.vec.items():
+                k = index(tuple(x + y for x, y in zip(mi, at(j))))
+                out[k] = out.get(k, 0) + a * b
+        return _poly(self.ring, out, self.den * other.den)
 
     def __rmul__(self, other) -> "Poly":
         return self.scaled(other)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self.ring == other.ring and self.terms == other.terms
+            return self.ring == other.ring and self.den == other.den and self.vec == other.vec
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -473,30 +442,41 @@ def apply_der(f: Poly, g: Poly) -> Poly:
     return _apply(f, g, weighted=True)
 
 
+def _lowered(down: list[Optional[tuple[int, int]]], vec: dict[int, int], weighted: bool) -> dict[int, int]:
+    """x_i o vec from x_i's entries in the ring's lower table: under
+    differentiation the exponent multiplies, under contraction nothing does."""
+    out = {}
+    for j, c in vec.items():
+        ke = down[j]
+        if ke is not None:
+            k, e = ke
+            out[k] = c * e if weighted and e != 1 else c
+    return out
+
+
 def _apply(f: Poly, g: Poly, weighted: bool) -> Poly:
-    """Bilinear x^a o x^b = w * x^(b-a) for b >= a, else 0; w = b!/(b-a)! or 1."""
+    """Bilinear x^a o x^b = w * x^(b-a) for b >= a, else 0; w = b!/(b-a)! or 1.
+
+    Each term x^a of f lowers g's vector through the ring's lower table, one
+    variable at a time, so the tables grow through the <=deg g frame; the
+    exponents met on the way multiply to b!/(b-a)!.
+    """
     f._check_same_ring(g)
-    if weighted and f.ring.char != 0:
+    ring = f.ring
+    if weighted and ring.char != 0:
         raise CharacteristicError("derivation action requires characteristic 0")
-    out: dict[Monomial, Scalar] = {}
-    for ma, ca in f.terms.items():
-        for mb, cb in g.terms.items():
-            if all(b >= a for a, b in zip(ma, mb)):
-                p = ca * cb
-                if weighted:
-                    factor = 1
-                    for a, b in zip(ma, mb):
-                        if a:
-                            factor *= math.perm(b, a)
-                    p = p * factor
-                m = tuple(b - a for a, b in zip(ma, mb))
-                s = out.get(m)
-                s = p if s is None else s + p
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-    return Poly(f.ring, out)
+    if not g.vec:
+        return g
+    down = ring.lower_table(g.degree())
+    out: dict[int, int] = {}
+    for i, a in f.vec.items():
+        vec = g.vec
+        for var, e in enumerate(ring.monomial_at(i)):
+            for _ in range(e):
+                vec = _lowered(down[var], vec, weighted)
+        for k, c in vec.items():
+            out[k] = out.get(k, 0) + a * c
+    return _poly(ring, out, f.den * g.den)
 
 
 def apply_action(action: str, f: Poly, g: Poly) -> Poly:
@@ -513,7 +493,8 @@ def sigma(g: Poly) -> Poly:
     if g.ring.char != 0:
         raise CharacteristicError("sigma requires characteristic 0")
     # per term, not from the weight table: g may be sparse in a large frame
-    return Poly(g.ring, {m: c * math.prod(map(math.factorial, m)) for m, c in g.terms.items()})
+    at = g.ring.monomial_at
+    return _poly(g.ring, {k: c * math.prod(map(math.factorial, at(k))) for k, c in g.vec.items()}, g.den)
 
 
 def top_form(h: Poly) -> Poly:
@@ -591,21 +572,14 @@ def parse_poly(text: str, ring: Ring) -> Poly:
     '-x2+3/4*x1^2'
     """
     sc = _Scanner(text)
-    terms: dict[Monomial, Scalar] = {}
+    items = []
     negative = False
     if sc.peek() == "-":
         sc.take()
         negative = True
     while True:
-        coeff, mono = _parse_term(sc, ring)
-        if negative:
-            coeff = -coeff
-        s = terms.get(mono)
-        s = coeff if s is None else s + coeff
-        if s:
-            terms[mono] = s
-        else:
-            terms.pop(mono, None)
+        num, den, mono = _parse_term(sc, ring)
+        items.append((ring.index_of(mono), -num if negative else num, den))
         c = sc.peek()
         if c == "":
             break
@@ -616,10 +590,10 @@ def parse_poly(text: str, ring: Ring) -> Poly:
         else:
             raise ParseError(f"expected '+' or '-', found {c!r}", sc.pos)
         sc.take()
-    return Poly(ring, terms)
+    return _from_ratios(ring, items)
 
 
-def _parse_term(sc: _Scanner, ring: Ring) -> tuple[Scalar, Monomial]:
+def _parse_term(sc: _Scanner, ring: Ring) -> tuple[int, int, Monomial]:
     if sc.peek().isdigit():
         pos = sc.pos
         num = sc.nat()
@@ -627,16 +601,16 @@ def _parse_term(sc: _Scanner, ring: Ring) -> tuple[Scalar, Monomial]:
         if sc.peek() == "/":
             sc.take()
             den = sc.nat()
-        try:
-            coeff = ring.field.from_ratio(num, den)
-        except ZeroDivisionError as exc:
-            raise ParseError(str(exc), pos) from None
+        if den == 0:
+            raise ParseError("zero denominator", pos)
+        if ring.char and den % ring.char == 0:
+            raise ParseError(f"denominator divisible by characteristic {ring.char}", pos)
         if sc.peek() == "*":
             sc.take()
-            return coeff, _parse_factors(sc, ring)
-        return coeff, (0,) * ring.nvars
+            return num, den, _parse_factors(sc, ring)
+        return num, den, (0,) * ring.nvars
     if sc.peek() == "x":
-        return ring.field.one, _parse_factors(sc, ring)
+        return 1, 1, _parse_factors(sc, ring)
     raise ParseError("expected a term", sc.pos)
 
 
@@ -684,29 +658,28 @@ def _format_monomial(mono: Monomial) -> str:
 def format_poly(f: Poly) -> str:
     """Canonical text form; parse_poly(format_poly(f)) == f.
 
-    Terms appear in canonical order; over Q a negative coefficient is folded
-    into the separating sign, over F_p residues print as-is.
+    Terms appear in index order, which is the canonical order; over Q a
+    coefficient prints in lowest terms with its sign folded into the
+    separating sign, over F_p residues print as-is.
     """
     if f.is_zero():
         return "0"
+    char, den, at = f.ring.char, f.den, f.ring.monomial_at
     out: list[str] = []
-    for mono, c in f.sorted_terms():
-        if isinstance(c, Fp):
-            negative, mag = False, c
-            is_one = c.v == 1
+    for k in sorted(f.vec):
+        c = f.vec[k]
+        negative = c < 0
+        g = math.gcd(c, den)
+        num, d = abs(c) // g, den // g
+        mag = str(num) if d == 1 else f"{num}/{d}"
+        mono_str = _format_monomial(at(k))
+        if not mono_str:
+            body = mag
+        elif num == d == 1:
+            body = mono_str
         else:
-            negative = c < 0
-            mag = -c if negative else c
-            is_one = mag == 1
-        mono_str = _format_monomial(mono)
-        if mono_str:
-            body = mono_str if is_one else f"{mag}*{mono_str}"
-        else:
-            body = str(mag)
-        if not out:
-            out.append(f"-{body}" if negative else body)
-        else:
-            out.append(f"-{body}" if negative else f"+{body}")
+            body = f"{mag}*{mono_str}"
+        out.append(f"-{body}" if negative else f"+{body}" if out else body)
     return "".join(out)
 
 
@@ -744,15 +717,12 @@ def gen_pol(ring: Ring, deg_min: int, deg_max: int, bound: int, seed: int) -> Po
     state = seed & _MASK64
     span = 2 * bound + 1
     limit = (2**64 // span) * span
-    terms: dict[Monomial, Scalar] = {}
-    field = ring.field
-    for d in range(deg_min, deg_max + 1):
-        for mono in ring.monomials_of_degree(d):
-            while True:
-                state, u = _splitmix64(state)
-                if u < limit:
-                    break
-            c = u % span - bound
-            if c:
-                terms[mono] = field.coerce(c)
-    return Poly(ring, terms)
+    vec: dict[int, int] = {}
+    # the monomials of the degree range, in canonical order, are one index range
+    for k in range(ring.frame_size(deg_min - 1), ring.frame_size(deg_max)):
+        while True:
+            state, u = _splitmix64(state)
+            if u < limit:
+                break
+        vec[k] = u % span - bound
+    return _poly(ring, vec)

@@ -12,14 +12,20 @@ They share only the echelon, the colon's solve and the module actions with
 the library, none of its span builder, read-off complement, monomial tables
 or seeded caches, so they can cross-check those.
 
+Coefficients are read through the public ``p.terms`` and ``p.den`` and
+``ring.index_of`` into this module's own exact vectors, ``Fraction`` over Q
+and residues over F_p.  Where vectors of several polynomials must keep
+their relative scale (a kernel or a solve over them), all of them are
+cleared to ints by one common denominator before the echelon sees them.
+
 The echelon itself is checked against ``rref``: dense Gauss-Jordan
-elimination over the field's own scalars (``Fraction`` or ``Fp``), with no
-column index and no integer rows.
+elimination over those scalars, with no column index and no integer rows.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional
 
 from invsys import (
@@ -35,23 +41,46 @@ from invsys import (
     format_poly,
     top_form,
 )
-from invsys.linalg import (
-    Vector,
-    kernel_of_vectors,
-    poly_to_vector,
-    residue,
-    solve_combination,
-    vector_to_poly,
-)
+from invsys.linalg import Vector, kernel_of_vectors, solve_combination
 
 
-def rref(vectors: list[Vector], field) -> dict[int, Vector]:
+def exact(p: Poly) -> dict[int, Fraction]:
+    """p's coefficients by monomial index, as exact rationals (over F_p the
+    denominator is 1, so these are the residues)."""
+    index = p.ring.index_of
+    return {index(m): Fraction(c, p.den) for m, c in p.terms.items()}
+
+
+def integral(vectors: list[dict[int, Fraction]]) -> list[Vector]:
+    """The vectors times one common denominator, as int vectors."""
+    den = math.lcm(*(c.denominator for v in vectors for c in v.values()))
+    return [{k: int(c * den) for k, c in v.items()} for v in vectors]
+
+
+def vector(p: Poly) -> Vector:
+    """An int vector spanning the same line as p."""
+    return integral([exact(p)])[0]
+
+
+def poly_of(ring, vec: dict, den: int = 1) -> Poly:
+    """The polynomial with coefficient vec[k] / den at monomial index k."""
+    return Poly(ring, {ring.monomial_at(k): Fraction(c, den) for k, c in vec.items()})
+
+
+def rref(vectors: list[Vector], char: int) -> dict[int, dict]:
     """The reduced row-echelon form of the vectors' span: {pivot: row}, each
     row's unit pivot at its lowest index and every other row zero there;
     ``Echelon.rows`` holds a multiple of each row.  Dense Gauss-Jordan,
-    column by column."""
+    column by column, over ``Fraction`` or residues mod ``char``."""
+
+    def field(c):
+        return c % char if char else Fraction(c)
+
+    def div(a, b):
+        return a * pow(b, -1, char) % char if char else a / b
+
     width = 1 + max((k for v in vectors for k in v), default=-1)
-    mat = [[field.coerce(v.get(k, 0)) for k in range(width)] for v in vectors]
+    mat = [[field(v.get(k, 0)) for k in range(width)] for v in vectors]
     pivots = []
     for col in range(width):
         rank = len(pivots)
@@ -60,11 +89,11 @@ def rref(vectors: list[Vector], field) -> dict[int, Vector]:
             continue
         mat[rank], mat[hit] = mat[hit], mat[rank]
         inv = mat[rank][col]
-        mat[rank] = [c / inv for c in mat[rank]]
+        mat[rank] = [div(c, inv) for c in mat[rank]]
         for i, row in enumerate(mat):
             if i != rank and row[col]:
                 f = row[col]
-                mat[i] = [a - f * b for a, b in zip(row, mat[rank])]
+                mat[i] = [field(a - f * b) for a, b in zip(row, mat[rank])]
         pivots.append(col)
     return {col: {k: c for k, c in enumerate(mat[i]) if c} for i, col in enumerate(pivots)}
 
@@ -80,13 +109,13 @@ def product_span(ideal: IdealHandle, bound: int, min_multiplier: int = 0) -> Ech
             if sum(mono) >= min_multiplier:
                 prod = (g * Poly.monomial(ring, mono)).truncated(bound)
                 if not prod.is_zero():
-                    ech.insert(poly_to_vector(prod))
+                    ech.insert(vector(prod))
     return ech
 
 
 def on_axis(g: Poly, i: int) -> Poly:
     """g with every variable but x_(i+1) set to zero."""
-    return Poly(g.ring, {m: c for m, c in g.terms.items() if not any(m[:i] + m[i + 1:])})
+    return Poly(g.ring, {m: Fraction(c, g.den) for m, c in g.terms.items() if not any(m[:i] + m[i + 1:])})
 
 
 def artin_status(ideal: IdealHandle) -> ArtinStatus:
@@ -119,7 +148,7 @@ def min_gens(ideal: IdealHandle, socle_degree: int | None = None) -> list[Poly]:
 
     selected = []
     for g in sorted(ideal.generators, key=sort_key):
-        if ech.insert(poly_to_vector(g.truncated(bound))) is not None:
+        if ech.insert(vector(g.truncated(bound))) is not None:
             selected.append(g)
     return selected
 
@@ -135,10 +164,18 @@ def colon_span(ideal: IdealHandle, s: int) -> list[Vector]:
         combined = {}
         for i in range(ring.nvars):
             shifted = Poly.monomial(ring, mono) * Poly.variable(ring, i + 1)
-            for idx, c in residue(big, poly_to_vector(shifted)).items():
+            for idx, c in residue(big, vector(shifted)).items():
                 combined[i * m1 + idx] = c
         vectors.append(combined)
-    return kernel_of_vectors(vectors, ring.nvars * m1, ring.char)
+    return kernel_of_vectors(integral(vectors), ring.nvars * m1, ring.char)
+
+
+def residue(ech: Echelon, vec: Vector) -> dict[int, Fraction]:
+    """vec modulo ech's span, exactly: ``reduce`` returns a multiple of it,
+    so a tag 1 at coordinate -1, which no row holds, reads the multiple."""
+    res = ech.reduce({**vec, -1: 1})
+    scale = res.pop(-1)
+    return {k: Fraction(c, scale) for k, c in res.items()}
 
 
 def socle(ideal: IdealHandle) -> list[Poly]:
@@ -147,7 +184,7 @@ def socle(ideal: IdealHandle) -> list[Poly]:
     s = artin_status(ideal).socle_degree
     if s == 0:
         return [Poly.one(ring)]
-    gens = [vector_to_poly(ring, vec, vec[min(vec)]) for vec in colon_span(ideal, s)]
+    gens = [poly_of(ring, vec, vec[min(vec)]) for vec in colon_span(ideal, s)]
     gens += [Poly.monomial(ring, m) for m in ring.monomials_of_degree(s + 1)]
     return min_gens(IdealHandle(ring, gens))
 
@@ -183,10 +220,9 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     ech = Echelon(ring.char)
     for vec in kernel_of_vectors(columns, m, ring.char):
         if action == DER:
-            vec = {
-                c: val / ring.field.coerce(math.prod(map(math.factorial, ring.monomial_at(c))))
-                for c, val in vec.items()
-            }
+            vec = integral([
+                {c: Fraction(val, math.prod(map(math.factorial, ring.monomial_at(c)))) for c, val in vec.items()}
+            ])[0]
         ech.insert(vec)
     return SubspaceBasis(u.frame, ech)
 
@@ -199,7 +235,7 @@ def closure(module: SubmoduleHandle) -> Echelon:
         for mono in ring.monomials_upto(g.degree()):
             h = apply_action(module.action, Poly.monomial(ring, mono), g)
             if not h.is_zero():
-                ech.insert(poly_to_vector(h))
+                ech.insert(vector(h))
     return ech
 
 
@@ -211,11 +247,12 @@ def colon(f: Poly, g: Poly, action: str) -> Optional[Poly]:
     if g.degree() > d:
         return None
     unknowns = ring.monomials_upto(d)
-    vectors = [poly_to_vector(apply_action(action, Poly.monomial(ring, m), f)) for m in unknowns]
-    sol = solve_combination(vectors, poly_to_vector(g), ring.frame_size(d), ring.char)
+    *vectors, target = integral([exact(apply_action(action, Poly.monomial(ring, m), f)) for m in unknowns] + [exact(g)])
+    sol = solve_combination(vectors, target, ring.frame_size(d), ring.char)
     if sol is None:
         return None
-    return Poly(ring, {unknowns[k]: ring.field.coerce(c) for k, c in sol.items()})
+    vec, scale = sol
+    return Poly(ring, {unknowns[k]: Fraction(c, scale) for k, c in vec.items()})
 
 
 def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
@@ -223,18 +260,18 @@ def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
     ring = module.ring
     ech = Echelon(ring.char)
     for row in closure(module).sorted_rows():
-        g = vector_to_poly(ring, row)
+        g = poly_of(ring, row)
         for i in range(1, ring.nvars + 1):
             h = apply_action(module.action, Poly.variable(ring, i), g)
             if not h.is_zero():
-                ech.insert(poly_to_vector(h))
+                ech.insert(vector(h))
 
     def sort_key(g: Poly):
         return (-g.degree(), format_poly(top_form(g)), format_poly(g))
 
     selected = []
     for g in sorted(module.generators, key=sort_key):
-        if ech.insert(poly_to_vector(g)) is not None:
+        if ech.insert(vector(g)) is not None:
             selected.append(g)
     return selected
 
@@ -258,11 +295,10 @@ def ideal_ann(module: SubmoduleHandle) -> list[Poly]:
         combined = {}
         for j, g in enumerate(module.generators):
             h = apply_action(module.action, Poly.monomial(ring, mono), g)
-            for idx, c in poly_to_vector(h).items():
+            for idx, c in exact(h).items():
                 combined[j * m1 + idx] = c
         vectors.append(combined)
-    kernel = kernel_of_vectors(vectors, len(module.generators) * m1, ring.char)
-    gens = [Poly(ring, {monos[k]: ring.field.from_ratio(c, vec[min(vec)]) for k, c in vec.items()})
-            for vec in kernel]
+    kernel = kernel_of_vectors(integral(vectors), len(module.generators) * m1, ring.char)
+    gens = [Poly(ring, {monos[k]: Fraction(c, vec[min(vec)]) for k, c in vec.items()}) for vec in kernel]
     gens += [Poly.monomial(ring, m) for m in ring.monomials_of_degree(d + 1)]
     return min_gens(IdealHandle(ring, gens), socle_degree=d)

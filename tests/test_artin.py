@@ -27,7 +27,6 @@ from invsys import (
     socle_ideal,
     truncation_span,
 )
-from invsys.linalg import poly_to_vector
 from conftest import (
     P,
     ideal,
@@ -81,7 +80,7 @@ def test_truncation_span_staircase_count(r3):
 
 def test_truncation_span_tail_truncated(r3):
     u = truncation_span(ideal(r3, "x1^2+x2^3"), 2)
-    assert u.echelon.contains(poly_to_vector(P(r3, "x1^2")))
+    assert u.echelon.contains(P(r3, "x1^2").vec)
 
 
 def test_truncation_span_cap(r3):

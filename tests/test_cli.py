@@ -171,6 +171,22 @@ def test_parse_error_exit_code(capsys):
     assert "parse error" in err
 
 
+def test_zero_denominator_j_is_usage_error(capsys):
+    # worded as for any other value that is not a rational
+    for command in ("weierstrass-j", "ideal-wj", "verify-classification"):
+        for value in ("1/0", "abc"):
+            code, out, err = invoke(capsys, command, "--j", value)
+            assert (code, out) == (1, "")
+            assert err.endswith(f"invsys {command}: error: argument --j: invalid Fraction value: '{value}'\n")
+
+
+def test_zero_denominator_j_exits_1_from_entry_point(capsys):
+    done = _entry_point("ideal-wj", "--j", "1/0", capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.endswith("invsys ideal-wj: error: argument --j: invalid Fraction value: '1/0'\n")
+    assert (done.returncode, done.stdout, done.stderr) == invoke(capsys, "ideal-wj", "--j", "1/0")
+
+
 def test_precondition_exit_code(capsys):
     code, _, err = invoke(capsys, "hilbert", "--vars", "3", "x1^2+x2^3, x2^4")
     assert code == 3
@@ -464,23 +480,41 @@ def _child_env():
     return env
 
 
-def test_cli_import_loads_no_elliptic_fixtures_or_dataclasses():
-    # a fresh interpreter: importing the CLI and running a text-mode ring
-    # command adds neither the elliptic and fixtures modules nor dataclasses,
-    # unless the interpreter had it already, and never loads json
+NOT_ON_RING_PATH = {"invsys.elliptic", "invsys.fixtures", "dataclasses", "fractions", "decimal", "numbers"}
+
+
+def _loaded_by(argv):
+    """(modules a fresh interpreter adds by importing the CLI, the lines
+    printed by running ``argv`` through it next, the modules added by both,
+    whether json was loaded)."""
     code = (
         "import sys; before = set(sys.modules); import invsys.cli; "
-        "invsys.cli.run(['hilbert', '--vars', '3', 'x1^2,x2^2,x3^2']); "
+        "print(sorted(set(sys.modules) - before)); "
+        f"invsys.cli.run({argv!r}); "
         "print(sorted(set(sys.modules) - before)); print('json' in sys.modules)"
     )
     done = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    answer, loaded, has_json = done.stdout.splitlines()
-    loaded = set(ast.literal_eval(loaded))
-    assert answer == "1,3,3,1"
-    assert "invsys.cli" in loaded
-    assert not loaded & {"invsys.elliptic", "invsys.fixtures", "dataclasses"}
-    assert has_json == "False"
+    imported, *lines, loaded, has_json = done.stdout.splitlines()
+    return set(ast.literal_eval(imported)), lines, set(ast.literal_eval(loaded)), has_json == "True"
+
+
+def test_cli_import_loads_no_elliptic_fixtures_or_dataclasses():
+    # importing the CLI, and then running a text-mode ring command, adds
+    # neither the elliptic and fixtures modules nor dataclasses, nor
+    # fractions and the decimal and numbers modules it pulls in, unless the
+    # interpreter had them already; and never loads json.  The second
+    # command parses and prints a proper fraction over Q.
+    cases = [
+        (["hilbert", "--vars", "3", "x1^2,x2^2,x3^2"], ["1,3,3,1"]),
+        (["ideal-ann", "--vars", "2", "3/4*x1^2+x2^2"], ["g[1]=x1*x2", "g[2]=x1^2-3/4*x2^2"]),
+    ]
+    for argv, answer in cases:
+        imported, lines, loaded, has_json = _loaded_by(argv)
+        assert lines == answer
+        assert "invsys.cli" in imported
+        assert not (imported | loaded) & NOT_ON_RING_PATH
+        assert not has_json
 
 
 # -- the entry point: `python -m invsys` runs main(), which ends the process itself ------------
@@ -498,6 +532,12 @@ TOP_LEVEL = [
     ("is-agg", "--vars", "3", "x1^2"),  # invalid choice
     (),  # no subcommand
     ("-h",),
+]
+# usage errors that the chosen subcommand's parser reports
+SUBCOMMAND_USAGE = [
+    ("is-ag", "x1^2"),  # missing --vars
+    ("is-ag", "--vars", "3", "--format", "xml", "x1^2"),  # invalid choice of a flag
+    ("ideal-wj", "--j", "1/0"),  # not a rational
 ]
 
 # one invocation per exit code 0-4, a JSON one and one whose output outgrows a pipe buffer
@@ -528,10 +568,10 @@ def test_entry_point_covers_every_exit_code(capsys):
     assert len(invoke(capsys, *BIG_GEN_POL)[1].encode()) > 65536
 
 
-@pytest.mark.parametrize("argv", TOP_LEVEL + [("is-ag", "--help")], ids=_argv_id)
+@pytest.mark.parametrize("argv", TOP_LEVEL + SUBCOMMAND_USAGE + [("is-ag", "--help")], ids=_argv_id)
 def test_top_level_output_matches_full_parser(capsys, argv):
-    # run() gives only the chosen subcommand its arguments; what it prints
-    # must be what the parser of every subcommand prints
+    # run() registers only the chosen subcommand; what it prints must be
+    # what the parser of every subcommand prints
     try:
         _build_parser().parse_args(list(argv))
     except SystemExit as exc:

@@ -74,14 +74,13 @@ def test_closure_rejects_derivation_in_char_p():
 
 def test_closure_fixed_under_variable_action(r3):
     from invsys import apply_der
-    from invsys.linalg import poly_to_vector
 
     m = module(r3, "x1^2*x2+x3^3", "x1*x3")
     closure = m.closure()
     for row_poly in closure_span(m).row_polys():
         for i in (1, 2, 3):
             img = apply_der(Poly.variable(r3, i), row_poly)
-            assert closure.contains(poly_to_vector(img))
+            assert closure.contains(img.vec)
 
 
 # -- inverse systems ----------------------------------------------------------------
