@@ -28,7 +28,14 @@ degree s.
 Non-Artinianity is proven when for some i no generator has a pure power
 term c*x_i^k: then I <= (x_j : j != i) and A maps onto k[[x_i]].  This
 axis certificate never fires on an Artinian ideal, as x_i^d in I forces such
-a term.  Otherwise the search stops at the degree cap, inconclusively.
+a term.  The graded certificate: if every g_j is a form of degree <= e, A is
+Artinian iff m^N <= I for N = n(e-1) + 1.  Proof: ranks survive a field
+extension, so let k be infinite.  I = JR for J = (g_j) in P = k[x], and
+m^D <= I iff P_D <= J.  If so for some D, each g_j has a power in the ideal
+(J_e), which is then primary to (x); so n general forms of J_e are a
+regular sequence, and their complete intersection has top degree n(e - 1),
+so P_N <= J.  (x_i^3 shows N is tight.)  Otherwise the search stops at the
+degree cap, inconclusively.
 
 Socle, type and level are read on the dual side, under contraction.  The
 identity (I : m)^perp = m o I^perp holds because f kills m o I^perp iff
@@ -44,6 +51,7 @@ a module's closure and the colon's unknowns.
 
 from __future__ import annotations
 
+import threading
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import DegreeCapError, NotArtinError
@@ -63,7 +71,7 @@ class ArtinStatus(NamedTuple):
     """Outcome of the Artinianity search.
 
     For a non-Artinian verdict, ``proven`` distinguishes an actual proof (the
-    coordinate-axis certificate) from cap exhaustion.  A named tuple, not a
+    axis or the graded certificate) from cap exhaustion.  A named tuple, not a
     dataclass: ``dataclasses`` imports ``inspect``, which the CLI's start-up
     would pay for.
     """
@@ -75,11 +83,14 @@ class ArtinStatus(NamedTuple):
 
 
 class IdealHandle:
-    """An ideal of R given by generators, with write-once analysis caches.
+    """An ideal of R given by generators, with the analysis done on it.
 
     Generators must be nonunits (zero constant term); zero generators are
-    dropped.  Externally the handle behaves as an immutable value; the span
-    and status caches only ever gain entries.
+    dropped.  Externally the handle behaves as an immutable value.  It keeps
+    one truncation span, the highest built, as ``_top = (bound, echelon)``,
+    projects lower bounds from it where rows are read, and reads every
+    dimension off its pivots (``_codim``).  The kept span only rises and is
+    never inserted into, so threads may share a handle.
     """
 
     def __init__(self, ring: Ring, generators: list[Poly]):
@@ -94,36 +105,33 @@ class IdealHandle:
             gens.append(g)
         self.ring = ring
         self.generators = gens
-        self._spans: dict[int, Echelon] = {}
+        self._top: Optional[tuple[int, Echelon]] = None
+        self._lock = threading.Lock()
         self._status: Optional[ArtinStatus] = None
 
     def __repr__(self) -> str:
         return f"IdealHandle({len(self.generators)} generators, {self.ring!r})"
 
-    def _span_echelon(self, bound: int) -> Echelon:
-        """Echelon of the image of the ideal in R/m^(bound+1).
-
-        Projected from the nearest cached higher bound when there is one,
-        else extended one bound at a time from the nearest cached lower bound
-        (or from the zero span at bound 0); see the module docstring.
+    def _span_echelon(self, bound: int, cut: bool = True) -> Echelon:
+        """Echelon of the image of the ideal in R/m^(bound+1): projected from
+        a higher kept span (returned uncut when ``cut`` is false), else
+        extended from it, or from the zero span, one bound at a time and kept.
         """
-        spans = self._spans
-        ech = spans.get(bound)
-        if ech is not None:
-            return ech
-        ring = self.ring
-        # a snapshot: another thread may add a bound while these loops run
-        bounds = list(spans)
-        higher = [b for b in bounds if b > bound]
-        if higher:
-            ech = _projected(spans[min(higher)], ring.frame_size(bound))
-        else:
-            start = max((b for b in bounds if b < bound), default=0)
-            ech = spans.get(start, Echelon(ring.char))
-            for b in range(start + 1, bound + 1):
-                ech, _ = _extended(ring, ech, self.generators, b)
-        spans[bound] = ech
+        top = self._top  # read once: another thread may raise it meanwhile
+        start, ech = top or (0, Echelon(self.ring.char))
+        if bound <= start:
+            return _projected(ech, self.ring.frame_size(bound)) if bound < start and cut else ech
+        for b in range(start + 1, bound + 1):
+            ech, _ = _extended(self.ring, ech, self.generators, b)
+        self._keep(bound, ech)
         return ech
+
+    def _keep(self, bound: int, ech: Echelon) -> None:
+        """Keep ech as span_I(bound) unless a span as high is kept."""
+        ech.rows = ech.rows  # drops the column index: nothing inserts into it
+        with self._lock:
+            if self._top is None or self._top[0] < bound:
+                self._top = (bound, ech)
 
 
 def _extended(ring: Ring, ech: Echelon, gens: list[Poly], bound: int) -> tuple[Echelon, list[Poly]]:
@@ -196,49 +204,47 @@ def truncation_span(ideal: IdealHandle, bound: int) -> SubspaceBasis:
     return SubspaceBasis(Frame(ideal.ring, bound), ideal._span_echelon(bound))
 
 
+def _codim(ideal: IdealHandle, bound: int) -> int:
+    """dim R/(I + m^(bound+1)): the size of the <=bound frame less the kept
+    span's pivots inside it, which are span_I(bound)'s."""
+    size = ideal.ring.frame_size(bound)
+    return size - sum(1 for p in ideal._span_echelon(bound, cut=False).rows if p < size)
+
+
 def contains_power_of_maximal(ideal: IdealHandle, d: int) -> bool:
     """True iff m^d is contained in the ideal.
 
-    The degree-d truncation span holds every degree-d monomial iff its
-    echelon has one pivot per degree-d coordinate: a row pivoting there has
-    no lower entries.  By the Nakayama consequence above this decides
-    m^d <= I exactly.
+    The degree-d truncation span holds every degree-d monomial iff it has
+    one pivot per degree-d coordinate (a row pivoting there has no lower
+    entries), that is iff the codimensions at d and d - 1 agree.  By the
+    Nakayama consequence above this decides m^d <= I exactly.
     """
     if d > ideal.ring.max_degree_cap:
         raise DegreeCapError(f"degree {d} exceeds cap {ideal.ring.max_degree_cap}")
-    if d < 1:
-        return False
-    ring = ideal.ring
-    low = ring.frame_size(d - 1)
-    top = sum(1 for p in ideal._span_echelon(d).rows if p >= low)
-    return top == ring.frame_size(d) - low
+    return d >= 1 and _codim(ideal, d) == _codim(ideal, d - 1)
 
 
 def analyze_artin(ideal: IdealHandle) -> ArtinStatus:
     """Search for the least d with m^d <= I; Artin with socle degree d - 1.
 
-    The axis certificate (see the module docstring) proves non-Artinianity
-    at once; otherwise the search runs up to the ring's degree cap and
-    failure is the inconclusive "not Artinian within cap" verdict.
+    The search stops at the bound of a certificate (see the module
+    docstring), where failure is proven, or at the ring's degree cap, where
+    it is the inconclusive "not Artinian within cap" verdict.
     """
     if ideal._status is not None:
         return ideal._status
-    ring = ideal.ring
-    cap = ring.max_degree_cap
-    # the i with a pure power c*x_i^k in some generator
-    axes = {i for g in ideal.generators for m in g.terms for i, e in enumerate(m) if e == sum(m) > 0}
-    if len(axes) < ring.nvars:
-        status = ArtinStatus(artin=False, socle_degree=None, proven=True, cap=cap)
-    else:
-        status = None
-        for d in range(1, cap + 1):
-            if contains_power_of_maximal(ideal, d):
-                status = ArtinStatus(artin=True, socle_degree=d - 1, proven=True, cap=cap)
-                break
-        if status is None:
-            status = ArtinStatus(artin=False, socle_degree=None, proven=False, cap=cap)
-    ideal._status = status
-    return status
+    ring, gens, cap = ideal.ring, ideal.generators, ideal.ring.max_degree_cap
+    # a bound N such that m^N <= I if A is Artinian: 0 when the axis
+    # certificate proves it is not, n(e-1) + 1 when the graded one applies
+    proof_bound = cap + 1
+    if len({i for g in gens for m in g.terms for i, e in enumerate(m) if e == sum(m) > 0}) < ring.nvars:
+        proof_bound = 0
+    elif all(g.is_homogeneous() for g in gens):
+        proof_bound = ring.nvars * (max(g.degree() for g in gens) - 1) + 1
+    d = next((d for d in range(1, min(proof_bound, cap) + 1) if contains_power_of_maximal(ideal, d)), None)
+    artin = d is not None
+    ideal._status = ArtinStatus(artin, d - 1 if artin else None, proven=artin or proof_bound <= cap, cap=cap)
+    return ideal._status
 
 
 def require_artin(ideal: IdealHandle) -> int:
@@ -252,15 +258,8 @@ def require_artin(ideal: IdealHandle) -> int:
 
 def hilbert(ideal: IdealHandle) -> list[int]:
     """Hilbert function HF(0..s) of A = R/I; HF(i) = dim n^i / n^(i+1)."""
-    s = require_artin(ideal)
-    ring = ideal.ring
-    dims = []
-    prev = 0
-    for i in range(s + 1):
-        q = ring.frame_size(i) - ideal._span_echelon(i).dim
-        dims.append(q - prev)
-        prev = q
-    return dims
+    codims = [0] + [_codim(ideal, i) for i in range(require_artin(ideal) + 1)]
+    return [b - a for a, b in zip(codims, codims[1:])]
 
 
 def _colon_dual(ideal: IdealHandle, s: int) -> Echelon:
@@ -288,8 +287,7 @@ def cm_type(ideal: IdealHandle) -> int:
     if not status.artin:
         return -1
     s = status.socle_degree
-    dual_dim = ideal.ring.frame_size(s) - ideal._span_echelon(s).dim
-    return dual_dim - _colon_dual(ideal, s).dim
+    return _codim(ideal, s) - _colon_dual(ideal, s).dim
 
 
 def is_ag(ideal: IdealHandle) -> int:
@@ -311,8 +309,7 @@ def is_level(ideal: IdealHandle) -> int:
     if s == 0:
         return 0
     # m o I^perp always lies in I^perp cap S_<=s-1, so dimensions decide it
-    dual_dim = ideal.ring.frame_size(s - 1) - ideal._span_echelon(s - 1).dim
-    return s if _colon_dual(ideal, s).dim == dual_dim else -1
+    return s if _colon_dual(ideal, s).dim == _codim(ideal, s - 1) else -1
 
 
 def eq_ideal(a: IdealHandle, b: IdealHandle) -> bool:
@@ -359,7 +356,7 @@ def minimal_ideal(span: SubspaceBasis) -> IdealHandle:
     ring, bound = span.frame.ring, span.frame.bound
     gens = span.row_polys() + [Poly.monomial(ring, m) for m in ring.monomials_of_degree(bound + 1)]
     out = IdealHandle(ring, gens)
-    out._spans[bound] = span.echelon
+    out._keep(bound, span.echelon)
     out._status = ArtinStatus(True, bound, proven=True, cap=ring.max_degree_cap)
     out.generators = ideal_min_gens(out)
     return out

@@ -115,7 +115,6 @@ class Ring:
             raise CharacteristicError("derivation action requires characteristic 0")
         self.default_action = default_action
         self.max_degree_cap = max_degree_cap
-        self._by_degree: list[list[Monomial]] = [[(0,) * nvars]]
         self._flat: list[Monomial] = [(0,) * nvars]
         self._index: dict[Monomial, int] = {(0,) * nvars: 0}
         self._raise: list[list[int]] = [[] for _ in range(nvars)]
@@ -137,18 +136,16 @@ class Ring:
 
     def _grow(self, degree: int) -> None:
         """Enumerate through ``degree``.  One thread grows at a time, and each
-        level is published flat list first, index next, level list last, so a
-        reader that sees a level also sees its indices."""
-        if len(self._by_degree) > degree:
+        level is published index first, flat list next, so a reader that sees
+        a level also sees its indices."""
+        size = self.frame_size(degree)
+        if len(self._flat) >= size:
             return
         with self._grow_lock:
-            while len(self._by_degree) <= degree:
-                d = len(self._by_degree)
-                level = list(_monomials_of_degree(self.nvars, d))
-                start = len(self._flat)
-                self._flat.extend(level)
+            while (start := len(self._flat)) < size:
+                level = list(_monomials_of_degree(self.nvars, sum(self._flat[-1]) + 1))
                 self._index.update((m, start + k) for k, m in enumerate(level))
-                self._by_degree.append(level)
+                self._flat.extend(level)
 
     def _grow_tables(self, degree: int) -> None:
         """Fill the three tables through the <=degree frame.  One thread grows
@@ -185,7 +182,7 @@ class Ring:
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
         self._grow(d)
-        return self._by_degree[d]
+        return self._flat[self.frame_size(d - 1) : self.frame_size(d)]
 
     def monomials_upto(self, degree: int) -> list[Monomial]:
         """All monomials of degree <= ``degree``, in canonical order."""
@@ -457,24 +454,26 @@ def _lowered(down: list[Optional[tuple[int, int]]], vec: dict[int, int], weighte
 def _apply(f: Poly, g: Poly, weighted: bool) -> Poly:
     """Bilinear x^a o x^b = w * x^(b-a) for b >= a, else 0; w = b!/(b-a)! or 1.
 
-    Each term x^a of f lowers g's vector through the ring's lower table, one
-    variable at a time, so the tables grow through the <=deg g frame; the
-    exponents met on the way multiply to b!/(b-a)!.
+    Term by term: each pair of exponent tuples is read by ``monomial_at`` and
+    the difference ranked by ``index_of``, which count past the enumeration,
+    so a sparse g of high degree does not grow the ring's tables.
     """
     f._check_same_ring(g)
     ring = f.ring
     if weighted and ring.char != 0:
         raise CharacteristicError("derivation action requires characteristic 0")
-    if not g.vec:
-        return g
-    down = ring.lower_table(g.degree())
+    at, index = ring.monomial_at, ring.index_of
+    g_terms = [(at(k), c) for k, c in g.vec.items()]
     out: dict[int, int] = {}
     for i, a in f.vec.items():
-        vec = g.vec
-        for var, e in enumerate(ring.monomial_at(i)):
-            for _ in range(e):
-                vec = _lowered(down[var], vec, weighted)
-        for k, c in vec.items():
+        ma = at(i)
+        for mb, c in g_terms:
+            rest = tuple(y - x for x, y in zip(ma, mb))
+            if min(rest) < 0:
+                continue
+            if weighted:
+                c *= math.prod(math.perm(y, x) for x, y in zip(ma, mb) if x)
+            k = index(rest)
             out[k] = out.get(k, 0) + a * c
     return _poly(ring, out, f.den * g.den)
 

@@ -122,17 +122,22 @@ def artin_status(ideal: IdealHandle) -> ArtinStatus:
     """The Artinianity verdict by a search that rebuilds each span.
 
     Proven non-Artinian when every generator vanishes on some coordinate
-    axis, so that R/I maps onto the power series in that variable.
+    axis, so that R/I maps onto the power series in that variable, or when
+    every generator is homogeneous of degree at most e and m^N is not in I
+    for N = n(e - 1) + 1 (the library's graded certificate).
     """
     ring = ideal.ring
     cap = ring.max_degree_cap
     if any(all(on_axis(g, i).is_zero() for g in ideal.generators) for i in range(ring.nvars)):
         return ArtinStatus(artin=False, socle_degree=None, proven=True, cap=cap)
-    for d in range(1, cap + 1):
+    graded = cap + 1
+    if all(len({sum(m) for m in g.terms}) == 1 for g in ideal.generators):
+        graded = ring.nvars * (max(sum(m) for g in ideal.generators for m in g.terms) - 1) + 1
+    for d in range(1, min(graded, cap) + 1):
         ech = product_span(ideal, d)
         if all(ech.contains({ring.index_of(m): 1}) for m in ring.monomials_of_degree(d)):
             return ArtinStatus(artin=True, socle_degree=d - 1, proven=True, cap=cap)
-    return ArtinStatus(artin=False, socle_degree=None, proven=False, cap=cap)
+    return ArtinStatus(artin=False, socle_degree=None, proven=graded <= cap, cap=cap)
 
 
 def min_gens(ideal: IdealHandle, socle_degree: int | None = None) -> list[Poly]:

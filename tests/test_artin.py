@@ -1,5 +1,6 @@
 """Artinianity, truncation spans, Hilbert functions, socle, type, classifiers."""
 
+import gc
 import math
 import random
 import sys
@@ -8,6 +9,7 @@ import threading
 import pytest
 
 from invsys import (
+    Echelon,
     Frame,
     IdealHandle,
     NotArtinError,
@@ -127,6 +129,25 @@ def test_spans_extend_safely_across_threads():
         sys.setswitchinterval(old)
 
 
+def test_kept_span_only_rises_across_threads():
+    # each thread extends to its own bound; the highest must be the one kept
+    gens = ["x1^5+x2^4*x3", "x2^6+x1^3*x3^2", "x3^7+x1^2*x2^3"]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            handle = ideal(Ring(3, 0), *gens)
+            threads = [threading.Thread(target=truncation_span, args=(handle, b)) for b in (9, 6, 8, 7)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert handle._top[0] == 9
+    finally:
+        sys.setswitchinterval(old)
+
+
 # -- powers of the maximal ideal ------------------------------------------------
 
 
@@ -170,10 +191,44 @@ def test_analyze_missing_variable_is_proven(r3):
 
 
 def test_analyze_cap_exhaustion_is_inconclusive():
-    # a pure power of every variable: the axis certificate does not apply
+    # a pure power of every variable and a generator that is not homogeneous:
+    # neither the axis nor the graded certificate applies
     r = Ring(2, 0, max_degree_cap=6)
-    st = analyze_artin(ideal(r, "x1^2+x2^2"))
+    st = analyze_artin(ideal(r, "x1^2+x2^2+x1^3"))
     assert not st.artin and not st.proven and st.cap == 6
+
+
+def test_graded_certificate_proves_not_artin():
+    # homogeneous of degree <= 2 in 2 variables: m^3 decides it
+    st = analyze_artin(ideal(Ring(2, 0, max_degree_cap=6), "x1^2+x2^2"))
+    assert (st.artin, st.proven, st.cap) == (False, True, 6)
+    # the cubics vanish on the line through (1, 1, -1); m^7 decides them
+    cubics = ideal(Ring(3, 0), "x1^3+x2^2*x3", "x2^3+x1^2*x3", "x3^3+x1*x2^2")
+    st = analyze_artin(cubics)
+    assert (st.artin, st.proven) == (False, True)
+    assert cubics._top[0] == 7
+    # the bound reaches past the cap: inconclusive at the cap
+    st = analyze_artin(ideal(Ring(3, 0, max_degree_cap=6), "x1^3+x2^2*x3", "x2^3+x1^2*x3", "x3^3+x1*x2^2"))
+    assert (st.artin, st.proven, st.cap) == (False, False, 6)
+
+
+def test_graded_certificate_bound_is_tight(r3):
+    # three homogeneous cubics with socle degree n(e - 1) = 6
+    st = analyze_artin(ideal(r3, "x1^3", "x2^3", "x3^3+x1*x2*x3"))
+    assert (st.artin, st.socle_degree) == (True, 6)
+
+
+def test_handle_keeps_one_span():
+    # the search runs to the cap: one span, the highest, without a column index
+    r = Ring(3, 0, max_degree_cap=6)
+    handle = ideal(r, "x1^2+x3^2+x1^3", "x2^2+x3^2")
+    assert not analyze_artin(handle).proven
+    for b in range(7):
+        truncation_span(handle, b)
+    # what the handle refers to, directly or through a container
+    held = [x for v in vars(handle).values() for x in (v, *gc.get_referents(v)) if isinstance(x, Echelon)]
+    assert len(held) == 1
+    assert handle._top == (6, held[0]) and held[0]._cols is None
 
 
 # -- Hilbert functions -----------------------------------------------------------

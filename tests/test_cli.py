@@ -42,7 +42,7 @@ def test_is_ag_proven_not_artin_exits_zero(capsys):
 
 def test_is_ag_cap_limited_exits_inconclusive(capsys):
     code, out, err = invoke(
-        capsys, "is-ag", "--vars", "2", "--max-degree", "5", "x1^2+x2^2"
+        capsys, "is-ag", "--vars", "2", "--max-degree", "5", "x1^2+x2^2+x1^3"
     )
     assert code == 4
     assert out == "-2\n"
@@ -203,8 +203,14 @@ def test_large_prime_characteristic(capsys):
 
 
 def test_inconclusive_exit_code(capsys):
-    code, out, _ = invoke(capsys, "hilbert", "--vars", "2", "--max-degree", "4", "x1^2+x2^2")
+    code, out, _ = invoke(capsys, "hilbert", "--vars", "2", "--max-degree", "4", "x1^2+x2^2+x1^3")
     assert code == 4
+
+
+def test_graded_certificate_proves_homogeneous_cubics(capsys):
+    # every variable has a pure power, so only the graded certificate decides
+    code, out, err = invoke(capsys, "is-ag", "--vars", "3", "x1^3+x2^2*x3, x2^3+x1^2*x3, x3^3+x1*x2^2")
+    assert (code, out, err) == (0, "-2\n", "")
 
 
 @pytest.mark.parametrize(
@@ -548,7 +554,7 @@ ENTRY_POINT = [
     ("is-ag", "--vars", "3"),
     ("is-ag", "--vars", "3", "x1^2+"),
     ("socle", "--vars", "3", "x1^2+x2^3, x2^4"),
-    ("hilbert", "--vars", "2", "--max-degree", "4", "x1^2+x2^2"),
+    ("hilbert", "--vars", "2", "--max-degree", "4", "x1^2+x2^2+x1^3"),
     *TOP_LEVEL,
 ]
 

@@ -59,6 +59,15 @@ SESSION = (
 # (x1^2, x2^3, x3^2) given by sums and differences: the generators' lowest
 # forms miss x2, and only the ideal they generate shows that R/I is Artinian
 NOT_STANDARD = "x1^2+x2^3, x1^2-x2^3, x3^2"
+# homogeneous and not Artinian, each with a unimodular A whose columns
+# miss its zero set, so that g(Ax) has a pure power of every variable: three
+# cubics that vanish on the line through (1, 1, -1), and the cone over the
+# rational quartic curve
+NOT_ARTIN = (
+    ("x1^3+x2^2*x3, x2^3+x1^2*x3, x3^3+x1*x2^2", [[1, 1, 0], [0, 1, 1], [1, 1, 1]]),
+    ("x1*x4-x2*x3, x1^2*x3-x2^3, x2*x4^2-x3^3, x1*x3^2-x2^2*x4",
+     [[1, 2, 0, 1], [0, 1, -1, 0], [1, 1, 1, 0], [0, 0, 1, 1]]),
+)
 
 
 def unimodular(n: int, rng: random.Random) -> list[list[int]]:
@@ -197,6 +206,21 @@ def test_invariants_survive_a_unimodular_change(char):
         a = unimodular(ideal.ring.nvars, rng)
         moved = IdealHandle(ideal.ring, [substitute(g, a) for g in ideal.generators])
         assert invariants(moved) == invariants(ideal)
+
+
+@pytest.mark.parametrize("char", CHARS)
+def test_graded_verdict_survives_a_unimodular_change(char):
+    # a linear change keeps the generators homogeneous, and only the graded
+    # certificate decides the images
+    for text, a in NOT_ARTIN:
+        n = len(a)
+        assert abs(determinant(a)) == 1
+        ring = Ring(n, char)
+        ideal = IdealHandle(ring, [parse_poly(t, ring) for t in text.split(",")])
+        moved = IdealHandle(ring, [substitute(g, a) for g in ideal.generators])
+        assert all(g.is_homogeneous() for g in moved.generators)
+        assert {i for g in moved.generators for m in g.terms for i, e in enumerate(m) if e == sum(m)} == set(range(n))
+        assert analyze_artin(moved) == analyze_artin(ideal) == (False, None, True, ring.max_degree_cap)
 
 
 def test_annihilator_is_equivariant_under_differentiation():

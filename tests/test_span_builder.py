@@ -199,12 +199,13 @@ def test_closure_and_colon_match_action_oracle(n, char):
 @pytest.mark.parametrize(
     "nvars,cap,texts",
     [
-        (3, 4, ["x1^2+x3^2", "x2^2+x3^2"]),  # a pure power of every variable: cap exhaustion
+        (3, 4, ["x1^2+x3^2+x1^3", "x2^2+x3^2"]),  # a pure power of every variable, not graded: cap exhaustion
         (2, 3, ["x1^4", "x2^4+x1*x2"]),  # Artinian only above the cap
         (3, 6, ["x1^2", "x2^3"]),  # x3 unused: proven
         (3, 6, ["x1^2", "x2^2+x1*x3", "x3^3"]),
         (3, 6, ["x1*x2+x3^2", "x2*x3"]),  # no pure power of x1 or x2: proven
         (3, 6, ["x1^3+x1*x2", "x2^2*x3+x3^5", "x1*x3"]),  # none of x2: proven
+        (3, 4, ["x1^2+x3^2", "x2^2+x3^2"]),  # homogeneous, m^4 not in I: proven
     ],
 )
 def test_status_matches_oracle_under_small_cap(nvars, cap, texts):
