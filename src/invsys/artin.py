@@ -61,6 +61,7 @@ from .linalg import (
     SubspaceBasis,
     Vector,
     _projected,
+    _unit_echelon,
     kernel_of_vectors,  # noqa: F401  unused; the benchmark's tracer looks it up here
     perp_space,
 )
@@ -137,23 +138,32 @@ class IdealHandle:
 def _extended(ring: Ring, ech: Echelon, gens: list[Poly], bound: int) -> tuple[Echelon, list[Poly]]:
     """The extension step: span_I(bound) from ech = span_I(bound-1).
 
-    Inserts the x_i-shifts of ech's rows, read off the ring's raise table,
-    which span m*I mod m^(bound+1), then each generator of order <= bound,
-    truncated at bound, in the order given.  Returns the span and the
-    generators that added a pivot.
+    The x_i-shifts of ech's rows, read off the ring's raise table, span
+    m*I mod m^(bound+1).  A unit row e_p shifts to the units e_(x_i*p), which
+    are placed as rows by ``_unit_echelon``; the other rows' shifts, then
+    each generator of order <= bound, truncated at bound, in the order given,
+    are eliminated stripped of those units.  Returns the span and the
+    generators that added a pivot: stripping keeps both, as it is reduction
+    by the unit rows.
     """
     shifts = ring.raise_table(bound - 1)
-    vecs = [{up[k]: c for k, c in row.items()} for row in ech.rows.values() for up in shifts]
+    rows = ech.rows
+    units = {up[p] for p, row in rows.items() if len(row) == 1 for up in shifts}
+    vecs = [
+        vec for row in rows.values() if len(row) > 1 for up in shifts
+        if (vec := {u: c for k, c in row.items() for u in (up[k],) if u not in units})
+    ]
     # highest leads first: a new pivot then mostly lies below every stored
     # row, where no row holds it; in-process, without this order deep_socle
     # ran 18% and grid_q 20% slower
     vecs.sort(key=min, reverse=True)
-    out = Echelon(ring.char)
-    out.insert_all(vecs)
-    added = [
-        g for g in gens
-        if g.order() <= bound and out.insert(g.truncated(bound).vec) is not None
-    ]
+    out = _unit_echelon(ring.char, units, vecs)
+    added = []
+    for g in gens:
+        if g.order() <= bound:
+            vec = {k: c for k, c in g.truncated(bound).vec.items() if k not in units}
+            if vec and out.insert(vec) is not None:
+                added.append(g)
     return out, added
 
 
@@ -179,20 +189,25 @@ def _orbit(ring: Ring, vec: Vector, bound: int, action: str) -> Iterator[Vector]
 def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
     """Echelon of m o V for a subspace V of S, in the frame one degree lower.
 
-    Each row r is carried to every x_i o r by the ring's lower table.
+    Each row r is carried to every x_i o r by the ring's lower table.  A unit
+    row e_p lowers to a nonzero multiple of a unit e_k under either action
+    (the weight is an exponent, and differentiation needs characteristic 0),
+    so those units are placed as rows by ``_unit_echelon`` and the other
+    rows' lowerings are eliminated stripped of them.
     """
     ring = span.frame.ring
-    rows = span.echelon.rows.values()
+    rows = span.echelon.rows
+    tables = ring.lower_table(span.frame.bound)
+    units = {low[0] for p, row in rows.items() if len(row) == 1 for down in tables if (low := down[p])}
+    weighted = action == DER
     vecs = [
-        vec for down in ring.lower_table(span.frame.bound)
-        for vec in (_lowered(down, row, action == DER) for row in rows) if vec
+        vec for down in tables for row in rows.values() if len(row) > 1
+        if (vec := _lowered(down, row, weighted, units))
     ]
     # lowest highest index first: in-process, deep_socle ran 17% slower
     # without it (grid_q flat)
     vecs.sort(key=max)
-    out = Echelon(ring.char)
-    out.insert_all(vecs)
-    return out
+    return _unit_echelon(ring.char, units, vecs)
 
 
 def truncation_span(ideal: IdealHandle, bound: int) -> SubspaceBasis:

@@ -13,9 +13,10 @@ or a module frame exceeds it).  Output that cannot be written also exits 3
 with one "error:" line, except a closed pipe: that ends the process by
 SIGPIPE, as it ends other Unix filters.
 
-Start-up: only the chosen subcommand is registered, ``fractions`` is
-imported only to read a ``--j`` value, and ``main()`` flushes the output and
-ends the process with ``os._exit``, skipping interpreter teardown.
+Start-up: only the chosen subcommand is registered, the duality module is
+imported only by the commands that use it, ``fractions`` only to read a
+``--j`` value, and ``main()`` flushes the output and ends the process with
+``os._exit``, skipping interpreter teardown.
 In-process callers use ``run()``, which returns the exit code.
 
 Generator input arguments are resolved in order: "-" reads stdin, an
@@ -41,16 +42,6 @@ from .artin import (
     is_ag,
     is_level,
     socle_ideal,
-)
-from .duality import (
-    SubmoduleHandle,
-    colon_inv_syst,
-    eq_mod_ih,
-    ideal_ann,
-    inv_syst,
-    member_ih,
-    min_gens_ih,
-    sub_mod_ih,
 )
 from .errors import DegreeCapError, InvSysError, NotArtinError, ParseError
 from .poly import CONT, DER, Poly, Ring, format_poly, gen_pol, parse_poly
@@ -115,6 +106,17 @@ def _split_generators(text: str) -> list[str]:
 
 def _parse_gens(arg: str, ring: Ring) -> list[Poly]:
     return [parse_poly(t, ring) for t in _split_generators(_resolve_input(arg))]
+
+
+def _duality():
+    """The duality module, imported by the commands that use it only."""
+    from . import duality
+
+    return duality
+
+
+def _module(ring: Ring, gens: list[Poly]):
+    return _duality().SubmoduleHandle(ring, gens)
 
 
 def _single(ring: Ring, gens: list[Poly]) -> Poly:
@@ -189,11 +191,13 @@ def _colon_answer(h: Optional[Poly]) -> tuple:
 
 
 class _Row(NamedTuple):
-    """A ring command.  ``call`` is a lambda so that it looks up cli's names
-    when it runs: bench/layertrace.py patches module-level names."""
+    """A ring command.  ``call`` is a lambda so that it looks up its names
+    when it runs: bench/layertrace.py patches module-level names, cli's and
+    those of the duality module, which only the commands on modules and
+    ``inv-syst`` import."""
 
     help: str
-    operands: tuple  # one kind per operand: IdealHandle, SubmoduleHandle or _single
+    operands: tuple  # one kind per operand: IdealHandle, _module or _single
     call: Callable
     shape: Callable
     action: bool = False  # the JSON "action" is the ring's default action, else null
@@ -310,22 +314,23 @@ _RING_COMMANDS = {
     "hilbert": _Row("Hilbert function of R/I",
                     (IdealHandle,), lambda i: hilbert(i), _values, artin="input"),
     "inv-syst": _Row("minimal generators of the inverse system of an Artin ideal",
-                     (IdealHandle,), lambda i: inv_syst(i).generators, _generators, action=True, artin="input"),
+                     (IdealHandle,), lambda i: _duality().inv_syst(i).generators, _generators,
+                     action=True, artin="input"),
     "ideal-ann": _Row("minimal generators of the annihilator ideal of a submodule of S",
-                      (SubmoduleHandle,), lambda m: ideal_ann(m), lambda ann: _generators(ann.generators),
+                      (_module,), lambda m: _duality().ideal_ann(m), lambda ann: _generators(ann.generators),
                       action=True, artin="answer"),
     "min-gens-ih": _Row("minimal generators of a submodule of S",
-                        (SubmoduleHandle,), lambda m: min_gens_ih(m), _generators, action=True),
+                        (_module,), lambda m: _duality().min_gens_ih(m), _generators, action=True),
     "eq-ideal": _Row("1 if the two Artin ideals are equal, else 0",
                      (IdealHandle, IdealHandle), lambda a, b: eq_ideal(a, b), _verdict),
     "member-ih": _Row("1 if the polynomial (first input) lies in the submodule (second input)",
-                      (_single, SubmoduleHandle), lambda g, m: member_ih(g, m), _verdict, action=True),
-    "sub-mod-ih": _Row("1 if the first submodule is contained in the second", (SubmoduleHandle, SubmoduleHandle),
-                       lambda a, b: sub_mod_ih(a, b), _verdict, action=True),
+                      (_single, _module), lambda g, m: _duality().member_ih(g, m), _verdict, action=True),
+    "sub-mod-ih": _Row("1 if the first submodule is contained in the second", (_module, _module),
+                       lambda a, b: _duality().sub_mod_ih(a, b), _verdict, action=True),
     "eq-mod-ih": _Row("1 if the two submodules are equal, else 0",
-                      (SubmoduleHandle, SubmoduleHandle), lambda a, b: eq_mod_ih(a, b), _verdict, action=True),
+                      (_module, _module), lambda a, b: _duality().eq_mod_ih(a, b), _verdict, action=True),
     "colon": _Row("h with h o f = g for single polynomials f, g; prints 0 if none",
-                  (_single, _single), lambda f, g: colon_inv_syst(f, g), _colon_answer, action=True),
+                  (_single, _single), lambda f, g: _duality().colon_inv_syst(f, g), _colon_answer, action=True),
 }
 
 _FORMAT_FLAG = ("--format", dict(choices=["text", "json"], default="text"))

@@ -15,9 +15,8 @@ duality machinery (characteristic 0, differentiation action).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .artin import IdealHandle, eq_ideal, hilbert, is_ag
 from .duality import SubmoduleHandle, ideal_ann
@@ -116,9 +115,12 @@ def ideal_wj(j: Fraction, ring: Optional[Ring] = None) -> IdealHandle:
     return IdealHandle(ring, [g1, h, g])
 
 
-@dataclass(frozen=True)
-class ClassificationRow:
-    """One row of the {1,3,3,1} table: a model ideal and its inverse system."""
+class ClassificationRow(NamedTuple):
+    """One row of the {1,3,3,1} table: a model ideal and its inverse system.
+
+    A named tuple, as ``RowReport`` and ``ArtinStatus`` are: ``dataclasses``
+    imports ``inspect``, which the commands' start-up would pay for.
+    """
 
     label: str
     model_ideal: list[Poly]
@@ -126,8 +128,7 @@ class ClassificationRow:
     j_value: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class RowReport:
+class RowReport(NamedTuple):
     """Per-row verification outcome; ``checks`` maps sub-check name to bool."""
 
     label: str

@@ -230,6 +230,31 @@ def _projected(ech: Echelon, size: int) -> Echelon:
     return out
 
 
+def _unit_echelon(char: int, units: set[int], stripped: Iterable[Vector]) -> Echelon:
+    """The reduced echelon of span(e_u : u in units) + span(X), given the
+    vectors of X already stripped of their unit coordinates.
+
+    Stripping is exactly the reduction of a vector by the unit rows, since
+    x - strip_U(x) lies in span(e_U).  So span(e_U + X) = span(e_U) (+)
+    span(strip_U X), and the two parts have disjoint supports: no stripped
+    vector, and so no row of their reduced echelon, holds a unit column, and
+    a unit row {u: 1} holds no other column.  The unit rows together with the
+    reduced echelon of the stripped vectors are therefore in reduced form,
+    with a unit pivot on every row, and by uniqueness they are the rows that
+    inserting every e_u and every x would give.  Only the stripped vectors
+    are eliminated, in the order given; the unit rows are placed.  No row
+    holds a unit column, so the column index stays valid and the result
+    takes further inserts; a further vector stripped of U reduces exactly as
+    it would against the stripped vectors alone.
+    """
+    ech = Echelon(char)
+    ech.insert_all(stripped)
+    rows = ech.rows
+    for u in units:
+        rows[u] = {u: 1}
+    return ech
+
+
 class Frame:
     """All monomials of degree <= bound, in canonical order, as coordinates."""
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import threading
-from typing import Iterator, Optional
+from typing import Container, Iterator, Optional
 
 from .errors import CharacteristicError, ParseError
 
@@ -439,15 +439,19 @@ def apply_der(f: Poly, g: Poly) -> Poly:
     return _apply(f, g, weighted=True)
 
 
-def _lowered(down: list[Optional[tuple[int, int]]], vec: dict[int, int], weighted: bool) -> dict[int, int]:
-    """x_i o vec from x_i's entries in the ring's lower table: under
-    differentiation the exponent multiplies, under contraction nothing does."""
+def _lowered(
+    down: list[Optional[tuple[int, int]]], vec: dict[int, int], weighted: bool, skip: Container[int] = ()
+) -> dict[int, int]:
+    """x_i o vec from x_i's entries in the ring's lower table, without the
+    coordinates in ``skip``: under differentiation the exponent multiplies,
+    under contraction nothing does."""
     out = {}
     for j, c in vec.items():
         ke = down[j]
         if ke is not None:
             k, e = ke
-            out[k] = c * e if weighted and e != 1 else c
+            if k not in skip:
+                out[k] = c * e if weighted and e != 1 else c
     return out
 
 

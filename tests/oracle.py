@@ -260,16 +260,23 @@ def colon(f: Poly, g: Poly, action: str) -> Optional[Poly]:
     return Poly(ring, {unknowns[k]: Fraction(c, scale) for k, c in vec.items()})
 
 
-def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
-    """Nakayama selection against m o closure built by applying each x_i."""
-    ring = module.ring
+def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
+    """Echelon of m o V, every x_i applied to every row as a polynomial."""
+    ring = span.frame.ring
     ech = Echelon(ring.char)
-    for row in closure(module).sorted_rows():
+    for row in span.echelon.sorted_rows():
         g = poly_of(ring, row)
         for i in range(1, ring.nvars + 1):
-            h = apply_action(module.action, Poly.variable(ring, i), g)
+            h = apply_action(action, Poly.variable(ring, i), g)
             if not h.is_zero():
                 ech.insert(vector(h))
+    return ech
+
+
+def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
+    """Nakayama selection against m o closure built by applying each x_i."""
+    frame = Frame(module.ring, max(module.degree_bound, 0))
+    ech = maximal_action(SubspaceBasis(frame, closure(module)), module.action)
 
     def sort_key(g: Poly):
         return (-g.degree(), format_poly(top_form(g)), format_poly(g))

@@ -510,17 +510,29 @@ def test_cli_import_loads_no_elliptic_fixtures_or_dataclasses():
     # neither the elliptic and fixtures modules nor dataclasses, nor
     # fractions and the decimal and numbers modules it pulls in, unless the
     # interpreter had them already; and never loads json.  The second
-    # command parses and prints a proper fraction over Q.
+    # command parses and prints a proper fraction over Q.  Only a command
+    # on modules loads the duality module.
     cases = [
-        (["hilbert", "--vars", "3", "x1^2,x2^2,x3^2"], ["1,3,3,1"]),
-        (["ideal-ann", "--vars", "2", "3/4*x1^2+x2^2"], ["g[1]=x1*x2", "g[2]=x1^2-3/4*x2^2"]),
+        (["hilbert", "--vars", "3", "x1^2,x2^2,x3^2"], ["1,3,3,1"], False),
+        (["ideal-ann", "--vars", "2", "3/4*x1^2+x2^2"], ["g[1]=x1*x2", "g[2]=x1^2-3/4*x2^2"], True),
     ]
-    for argv, answer in cases:
+    for argv, answer, dual in cases:
         imported, lines, loaded, has_json = _loaded_by(argv)
         assert lines == answer
         assert "invsys.cli" in imported
+        assert "invsys.duality" not in imported
+        assert ("invsys.duality" in loaded) == dual
         assert not (imported | loaded) & NOT_ON_RING_PATH
         assert not has_json
+
+
+def test_weierstrass_j_loads_no_dataclasses_or_inspect():
+    # the table's rows and reports are named tuples, so the elliptic module
+    # pulls in neither dataclasses nor the inspect module it imports
+    imported, lines, loaded, _ = _loaded_by(["weierstrass-j", "--j", "5"])
+    assert len(lines) == 1
+    assert "invsys.elliptic" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 # -- the entry point: `python -m invsys` runs main(), which ends the process itself ------------

@@ -20,7 +20,7 @@ from invsys import (
     perp_space,
     span_of,
 )
-from invsys.linalg import SubspaceBasis, _projected
+from invsys.linalg import SubspaceBasis, _projected, _unit_echelon
 from conftest import P, all_combinations, staircase
 import oracle
 
@@ -350,3 +350,30 @@ def test_echelon_matches_dense_reference(char):
             _check_against_dense(perp, base, frame)
             perp.insert_all(more)
             _check_against_dense(perp, base + more, frame)
+
+
+@pytest.mark.parametrize("char", [0, 32003])
+def test_unit_echelon_matches_dense_reference(char):
+    # unit rows placed beside the echelon of the other vectors stripped of
+    # their unit coordinates: the reduced form of all of them, which then
+    # takes further inserts of vectors that hold unit coordinates
+    r = Ring(3, char)
+    frame = Frame(r, 3)
+    rng = random.Random(67)
+    coeffs = (1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-4, 3))
+
+    def vec():
+        ks = rng.sample(range(frame.size), rng.randint(1, 6))
+        return Poly(r, {r.monomial_at(k): rng.choice(coeffs) for k in ks}).vec
+
+    for _ in range(40):
+        units = set(rng.sample(range(frame.size), rng.randint(0, 12)))
+        vecs = [vec() for _ in range(rng.randint(1, 25))]
+        stripped = [w for v in vecs if (w := {k: c for k, c in v.items() if k not in units})]
+        ech = _unit_echelon(char, units, stripped)
+        assert all(ech.rows[u] == {u: 1} for u in units)
+        every = [{u: 1} for u in units] + vecs
+        _check_against_dense(ech, every, frame)
+        more = [vec() for _ in range(6)]
+        ech.insert_all(more)
+        _check_against_dense(ech, every + more, frame)
