@@ -26,9 +26,8 @@ _MODULES = {
         "truncation_span",
     ),
     "duality": (
-        "SubmoduleHandle", "closure_span", "colon_inv_syst", "eq_mod_ih",
-        "hilbert_via_inverse_system", "ideal_ann", "inv_syst", "is_level_dual", "member_ih",
-        "min_gens_ih", "sub_mod_ih",
+        "SubmoduleHandle", "closure_span", "colon_inv_syst", "eq_mod_ih", "ideal_ann",
+        "inv_syst", "member_ih", "min_gens_ih", "sub_mod_ih",
     ),
     "elliptic": (
         "ClassificationRow", "RowReport", "classification_table", "default_ring", "ideal_wj",

@@ -44,22 +44,20 @@ is level iff m o I^perp fills I^perp cap S_<=s-1, the perp of span_I(s-1);
 and the span of (I : m) at s - 1 is the perp of m o I^perp.
 
 Both actions of m are index arithmetic on the ring's tables: ``_extended``
-shifts rows by the raise table, ``maximal_action`` lowers V's rows by the
-lower table for m o V, and ``_orbit`` chains it to form every x^a o g, for
-a module's closure and the colon's unknowns.
+shifts rows by the raise table, and ``maximal_action`` lowers V's rows by
+the lower table for m o V.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import DegreeCapError, NotArtinError
 from .linalg import (
     Echelon,
     Frame,
     SubspaceBasis,
-    Vector,
     _projected,
     _unit_echelon,
     kernel_of_vectors,  # noqa: F401  unused; the benchmark's tracer looks it up here
@@ -165,25 +163,6 @@ def _extended(ring: Ring, ech: Echelon, gens: list[Poly], bound: int) -> tuple[E
             if vec and out.insert(vec) is not None:
                 added.append(g)
     return out, added
-
-
-def _orbit(ring: Ring, vec: Vector, bound: int, action: str) -> Iterator[Vector]:
-    """x^a o vec for every x^a in the <=bound frame, in canonical order.
-
-    x^a o vec = x_i o (x^(a - e_i) o vec) for the first variable x_i of x^a,
-    and the lower table also lowers x^a to x^(a - e_i), so only the previous
-    degree's vectors are held.
-    """
-    down = ring.lower_table(bound)
-    yield vec
-    prev, start = [vec], 0
-    for d in range(1, bound + 1):
-        layer = []
-        for j in range(ring.frame_size(d - 1), ring.frame_size(d)):
-            low = next(low for low in down if low[j] is not None)
-            layer.append(_lowered(low, prev[low[j][0] - start], action == DER))
-        yield from layer
-        prev, start = layer, ring.frame_size(d - 1)
 
 
 def maximal_action(span: SubspaceBasis, action: str) -> Echelon:

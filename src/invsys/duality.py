@@ -24,19 +24,38 @@ complement's rows, the complement seeded, the Nakayama selection kept.
 Submodules are handled by generator lists; the canonical semantic object is
 the closure span, the k-span of all x^a o g_j, cached on the handle.  Its
 frame is bounded by the ring's degree cap.  The closure and the colon's
-unknowns come from :mod:`invsys.artin`'s ``_orbit``, which forms each
-x^a o g from x^(a - e_i) o g on index vectors through the ring's lower
-table; ``apply_action`` only re-checks the colon's answer.
+unknowns come from ``_orbit``, which forms each x^a o g from
+x^(a - e_i) o g on index vectors through the ring's lower table;
+``apply_action`` only re-checks the colon's answer.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
-from .artin import IdealHandle, _orbit, maximal_action, minimal_ideal, require_artin, truncation_span
+from .artin import IdealHandle, maximal_action, minimal_ideal, require_artin, truncation_span
 from .errors import DegreeCapError, VerificationError
-from .linalg import Echelon, Frame, SubspaceBasis, perp_space, solve_combination, span_of
-from .poly import Poly, Ring, _poly, apply_action, check_action, format_poly, top_form
+from .linalg import Echelon, Frame, SubspaceBasis, Vector, perp_space, solve_combination
+from .poly import DER, Poly, Ring, _lowered, _poly, apply_action, check_action, format_poly, top_form
+
+
+def _orbit(ring: Ring, vec: Vector, bound: int, action: str) -> Iterator[Vector]:
+    """x^a o vec for every x^a in the <=bound frame, in canonical order.
+
+    x^a o vec = x_i o (x^(a - e_i) o vec) for the first variable x_i of x^a,
+    and the lower table also lowers x^a to x^(a - e_i), so only the previous
+    degree's vectors are held.
+    """
+    down = ring.lower_table(bound)
+    yield vec
+    prev, start = [vec], 0
+    for d in range(1, bound + 1):
+        layer = []
+        for j in range(ring.frame_size(d - 1), ring.frame_size(d)):
+            low = next(low for low in down if low[j] is not None)
+            layer.append(_lowered(low, prev[low[j][0] - start], action == DER))
+        yield from layer
+        prev, start = layer, ring.frame_size(d - 1)
 
 
 class SubmoduleHandle:
@@ -212,47 +231,3 @@ def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[P
     if apply_action(action, h, f) != g:
         raise VerificationError("colon solution fails the check h o f = g")
     return h
-
-
-def hilbert_via_inverse_system(
-    ideal: IdealHandle, action: Optional[str] = None
-) -> list[int]:
-    """Hilbert function read off the inverse system instead of R/I.
-
-    HF(i) is the dimension of the degree-i graded slice of I^perp,
-    dim (I^perp cap S_<=i + S_<i) / S_<i, computed from intersection
-    dimensions dim(C cap S_<=i) = dim C + dim S_<=i - dim(C + S_<=i); an
-    independent route that must agree with :func:`invsys.artin.hilbert`.
-    """
-    ring = ideal.ring
-    if action is None:
-        action = ring.default_action
-    s = require_artin(ideal)
-    closure = perp_space(truncation_span(ideal, s), action).echelon
-    dims = []
-    prev = 0
-    for i in range(s + 1):
-        m_i = ring.frame_size(i)
-        joint = closure.copy()
-        for idx in range(m_i):
-            joint.insert({idx: 1})
-        cap_dim = closure.dim + m_i - joint.dim
-        dims.append(cap_dim - prev)
-        prev = cap_dim
-    return dims
-
-
-def is_level_dual(ideal: IdealHandle, action: Optional[str] = None) -> bool:
-    """Level test via the inverse system.
-
-    A is level iff I^perp has a minimal generating set of polynomials all of
-    degree s whose top forms are linearly independent; must agree with
-    ``is_level(ideal) >= 0``.
-    """
-    s = require_artin(ideal)
-    module = inv_syst(ideal, action)
-    gens = module.generators
-    if any(g.degree() != s for g in gens):
-        return False
-    tops = [top_form(g) for g in gens]
-    return span_of(tops, Frame(ideal.ring, s)).dim == len(tops)

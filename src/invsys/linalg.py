@@ -204,9 +204,6 @@ class Echelon:
         for v in vecs:
             self.insert(v)
 
-    def sorted_rows(self) -> list[dict[int, int]]:
-        return [self._rows[p] for p in sorted(self._rows)]
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Echelon):
             return self._rows == other._rows
@@ -317,16 +314,6 @@ def span_of(polys: Sequence[Poly], frame: Frame) -> SubspaceBasis:
     return SubspaceBasis(frame, ech)
 
 
-def _tracked(vectors: Iterable[Vector], width: int, char: int) -> Echelon:
-    """Echelon of the vectors, each tagged with a tracker coordinate width + k."""
-    ech = Echelon(char)
-    for k, v in enumerate(vectors):
-        w = dict(v)
-        w[width + k] = 1
-        ech.insert(w)
-    return ech
-
-
 def kernel_of_vectors(vectors: Sequence[Vector], width: int, char: int) -> list[dict[int, int]]:
     """Reduced basis of {c : sum_k c_k * vectors[k] = 0}, over the field of
     characteristic ``char``.
@@ -336,7 +323,8 @@ def kernel_of_vectors(vectors: Sequence[Vector], width: int, char: int) -> list[
     vectors come out keyed by position k, as echelon rows: over Q each is
     the least positive integral multiple of its reduced row.
     """
-    ech = _tracked(vectors, width, char)
+    ech = Echelon(char)
+    ech.insert_all({**v, width + k: 1} for k, v in enumerate(vectors))
     return [
         {k - width: c for k, c in ech.rows[p].items()} for p in sorted(ech.rows) if p >= width
     ]
@@ -349,12 +337,17 @@ def solve_combination(
     target, or None; over F_p the scale is 1.
 
     Deterministic: reduces against an echelon built by inserting the vectors
-    in order, so the returned combination is canonical for a given input
-    order.  Keys of the result are positions into ``vectors``.  The target is
+    in order, each tagged with 1 at coordinate width + k, so the returned
+    combination is canonical for a given input order.  Keys of the result
+    are positions into ``vectors``.  A zero vector is skipped: its tag row
+    {width + k: 1} would hold no other row's pivot, no other row would hold
+    its column, and so it would never reach the residue.  The target is
     tagged with 1 at coordinate -1, which no row holds, so the scale is what
     the tag reads after ``reduce``.
     """
-    res = _tracked(vectors, width, char).reduce({**target, -1: 1})
+    ech = Echelon(char)
+    ech.insert_all({**v, width + k: 1} for k, v in enumerate(vectors) if v)
+    res = ech.reduce({**target, -1: 1})
     scale = res.pop(-1)
     if any(k < width for k in res):
         return None

@@ -184,11 +184,6 @@ class Ring:
         self._grow(d)
         return self._flat[self.frame_size(d - 1) : self.frame_size(d)]
 
-    def monomials_upto(self, degree: int) -> list[Monomial]:
-        """All monomials of degree <= ``degree``, in canonical order."""
-        self._grow(degree)
-        return self._flat[: self.frame_size(degree)]
-
     def index_of(self, mono: Monomial) -> int:
         """Global canonical index of a monomial: those of lower degree come
         first, then those of its degree with a lexicographically larger

@@ -14,6 +14,7 @@ from itertools import product
 import pytest
 
 from invsys import IdealHandle, Poly, Ring, gen_pol, parse_poly
+from oracle import monomials_upto
 
 
 def P(ring, text):
@@ -41,7 +42,7 @@ def in_monomial_ideal(mono, gens_exps):
 def staircase(ring, gens_exps, bound):
     """Monomials of degree <= bound outside the monomial ideal."""
     return [
-        m for m in ring.monomials_upto(bound) if not in_monomial_ideal(m, gens_exps)
+        m for m in monomials_upto(ring, bound) if not in_monomial_ideal(m, gens_exps)
     ]
 
 

@@ -20,6 +20,12 @@ cleared to ints by one common denominator before the echelon sees them.
 
 The echelon itself is checked against ``rref``: dense Gauss-Jordan
 elimination over those scalars, with no column index and no integer rows.
+
+Last come the library's dual routes, ``hilbert_via_inverse_system`` and
+``is_level_dual``.  They read the Hilbert function and the level verdict off
+the inverse system I^perp, through the library's own ``inv_syst`` and
+``perp_space``, so they check the graded structure of I^perp against the
+primal answers of :mod:`invsys.artin`.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
+import invsys
 from invsys import (
     DER,
     ArtinStatus,
@@ -35,13 +42,26 @@ from invsys import (
     Frame,
     IdealHandle,
     Poly,
+    Ring,
     SubmoduleHandle,
     SubspaceBasis,
     apply_action,
     format_poly,
+    span_of,
     top_form,
 )
+from invsys.artin import require_artin
 from invsys.linalg import Vector, kernel_of_vectors, solve_combination
+
+
+def monomials_upto(ring: Ring, degree: int) -> list[tuple[int, ...]]:
+    """All monomials of degree <= ``degree``, in canonical order."""
+    return [m for d in range(degree + 1) for m in ring.monomials_of_degree(d)]
+
+
+def sorted_rows(ech: Echelon) -> list[Vector]:
+    """ech's rows in pivot order."""
+    return [ech.rows[p] for p in sorted(ech.rows)]
 
 
 def exact(p: Poly) -> dict[int, Fraction]:
@@ -105,7 +125,7 @@ def product_span(ideal: IdealHandle, bound: int, min_multiplier: int = 0) -> Ech
     for g in ideal.generators:
         if g.order() > bound:
             continue
-        for mono in ring.monomials_upto(bound - g.order()):
+        for mono in monomials_upto(ring, bound - g.order()):
             if sum(mono) >= min_multiplier:
                 prod = (g * Poly.monomial(ring, mono)).truncated(bound)
                 if not prod.is_zero():
@@ -165,7 +185,7 @@ def colon_span(ideal: IdealHandle, s: int) -> list[Vector]:
     big = product_span(ideal, s + 1)
     m1 = ring.frame_size(s + 1)
     vectors = []
-    for mono in ring.monomials_upto(s):
+    for mono in monomials_upto(ring, s):
         combined = {}
         for i in range(ring.nvars):
             shifted = Poly.monomial(ring, mono) * Poly.variable(ring, i + 1)
@@ -219,7 +239,7 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     ring = u.frame.ring
     m = u.frame.size
     columns: list[Vector] = [dict() for _ in range(m)]
-    for ri, row in enumerate(u.echelon.sorted_rows()):
+    for ri, row in enumerate(sorted_rows(u.echelon)):
         for c, val in row.items():
             columns[c][ri] = val
     ech = Echelon(ring.char)
@@ -237,7 +257,7 @@ def closure(module: SubmoduleHandle) -> Echelon:
     ring = module.ring
     ech = Echelon(ring.char)
     for g in module.generators:
-        for mono in ring.monomials_upto(g.degree()):
+        for mono in monomials_upto(ring, g.degree()):
             h = apply_action(module.action, Poly.monomial(ring, mono), g)
             if not h.is_zero():
                 ech.insert(vector(h))
@@ -251,7 +271,7 @@ def colon(f: Poly, g: Poly, action: str) -> Optional[Poly]:
     d = f.degree()
     if g.degree() > d:
         return None
-    unknowns = ring.monomials_upto(d)
+    unknowns = monomials_upto(ring, d)
     *vectors, target = integral([exact(apply_action(action, Poly.monomial(ring, m), f)) for m in unknowns] + [exact(g)])
     sol = solve_combination(vectors, target, ring.frame_size(d), ring.char)
     if sol is None:
@@ -264,7 +284,7 @@ def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
     """Echelon of m o V, every x_i applied to every row as a polynomial."""
     ring = span.frame.ring
     ech = Echelon(ring.char)
-    for row in span.echelon.sorted_rows():
+    for row in sorted_rows(span.echelon):
         g = poly_of(ring, row)
         for i in range(1, ring.nvars + 1):
             h = apply_action(action, Poly.variable(ring, i), g)
@@ -301,7 +321,7 @@ def ideal_ann(module: SubmoduleHandle) -> list[Poly]:
     ring = module.ring
     d = module.degree_bound
     m1 = ring.frame_size(d)
-    monos = ring.monomials_upto(d)
+    monos = monomials_upto(ring, d)
     vectors = []
     for mono in monos:
         combined = {}
@@ -314,3 +334,45 @@ def ideal_ann(module: SubmoduleHandle) -> list[Poly]:
     gens = [Poly(ring, {monos[k]: Fraction(c, vec[min(vec)]) for k, c in vec.items()}) for vec in kernel]
     gens += [Poly.monomial(ring, m) for m in ring.monomials_of_degree(d + 1)]
     return min_gens(IdealHandle(ring, gens), socle_degree=d)
+
+
+def hilbert_via_inverse_system(ideal: IdealHandle, action: Optional[str] = None) -> list[int]:
+    """Hilbert function read off the inverse system instead of R/I.
+
+    HF(i) is the dimension of the degree-i graded slice of I^perp,
+    dim (I^perp cap S_<=i + S_<i) / S_<i, computed from intersection
+    dimensions dim(C cap S_<=i) = dim C + dim S_<=i - dim(C + S_<=i); an
+    independent route that must agree with :func:`invsys.artin.hilbert`.
+    """
+    ring = ideal.ring
+    if action is None:
+        action = ring.default_action
+    s = require_artin(ideal)
+    closure = invsys.perp_space(invsys.truncation_span(ideal, s), action).echelon
+    dims = []
+    prev = 0
+    for i in range(s + 1):
+        m_i = ring.frame_size(i)
+        joint = closure.copy()
+        for idx in range(m_i):
+            joint.insert({idx: 1})
+        cap_dim = closure.dim + m_i - joint.dim
+        dims.append(cap_dim - prev)
+        prev = cap_dim
+    return dims
+
+
+def is_level_dual(ideal: IdealHandle, action: Optional[str] = None) -> bool:
+    """Level test via the inverse system.
+
+    A is level iff I^perp has a minimal generating set of polynomials all of
+    degree s whose top forms are linearly independent; must agree with
+    ``is_level(ideal) >= 0``.
+    """
+    s = require_artin(ideal)
+    module = invsys.inv_syst(ideal, action)
+    gens = module.generators
+    if any(g.degree() != s for g in gens):
+        return False
+    tops = [top_form(g) for g in gens]
+    return span_of(tops, Frame(ideal.ring, s)).dim == len(tops)

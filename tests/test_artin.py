@@ -24,7 +24,6 @@ from invsys import (
     ideal_min_gens,
     is_ag,
     is_level,
-    is_level_dual,
     parse_poly,
     socle_ideal,
     truncation_span,
@@ -36,6 +35,7 @@ from conftest import (
     random_monomial_artin_ideal,
     staircase_degree_counts,
 )
+from oracle import is_level_dual
 
 
 @pytest.fixture

@@ -143,7 +143,7 @@ def test_perp_trivial_cases():
     r = Ring(2, 0)
     frame = Frame(r, 2)
     zero = span_of([], frame)
-    full = span_of([Poly.monomial(r, m) for m in r.monomials_upto(2)], frame)
+    full = span_of([Poly.monomial(r, m) for m in oracle.monomials_upto(r, 2)], frame)
     assert perp_space(zero, CONT).dim == frame.size
     assert perp_space(full, CONT).dim == 0
 
@@ -154,7 +154,7 @@ def test_perp_monomial_staircase_oracle():
     gens_exps = [(2, 0, 0), (0, 2, 0), (0, 0, 2)]
     inside = [
         Poly.monomial(r, m)
-        for m in r.monomials_upto(3)
+        for m in oracle.monomials_upto(r, 3)
         if any(all(a <= b for a, b in zip(g, m)) for g in gens_exps)
     ]
     u = span_of(inside, frame)
@@ -308,7 +308,7 @@ def test_frame_prefix_embedding():
     small = span_of(polys, Frame(r, 2))
     big = span_of(polys, Frame(r, 4))
     assert big.frame.bound == 4
-    assert r.monomials_upto(4)[: small.frame.size] == r.monomials_upto(small.frame.bound)
+    assert oracle.monomials_upto(r, 4)[: small.frame.size] == oracle.monomials_upto(r, small.frame.bound)
     assert big.echelon.rows == small.echelon.rows
     assert _member(P(r, "x1+x2^2"), big)
 

@@ -185,7 +185,7 @@ def test_closure_and_colon_match_action_oracle(n, char):
             assert closure == oracle.closure(fresh), (gens, action)
             lowered = [apply_action(action, Poly.variable(ring, i), f) for i in (1, 2)]
             outside = next(
-                (Poly.monomial(ring, m) for m in ring.monomials_upto(f.degree())
+                (Poly.monomial(ring, m) for m in oracle.monomials_upto(ring, f.degree())
                  if not closure.contains({ring.index_of(m): 1})),
                 None,
             )
