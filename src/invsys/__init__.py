@@ -19,19 +19,19 @@ _MODULES = {
         "ACTIONS", "CONT", "DER", "Poly", "Ring", "apply_action", "apply_cont", "apply_der",
         "check_action", "format_poly", "gen_pol", "parse_poly", "sigma", "top_form",
     ),
-    "linalg": ("Echelon", "Frame", "SubspaceBasis", "perp_space", "span_of"),
+    "linalg": ("Echelon", "SubspaceBasis", "perp_space", "span_of"),
     "artin": (
         "ArtinStatus", "IdealHandle", "analyze_artin", "cm_type", "contains_power_of_maximal",
         "eq_ideal", "hilbert", "ideal_min_gens", "is_ag", "is_level", "socle_ideal",
         "truncation_span",
     ),
     "duality": (
-        "SubmoduleHandle", "closure_span", "colon_inv_syst", "eq_mod_ih", "ideal_ann",
-        "inv_syst", "member_ih", "min_gens_ih", "sub_mod_ih",
+        "SubmoduleHandle", "colon_inv_syst", "eq_mod_ih", "ideal_ann", "inv_syst", "member_ih",
+        "min_gens_ih", "sub_mod_ih",
     ),
     "elliptic": (
-        "ClassificationRow", "RowReport", "classification_table", "default_ring", "ideal_wj",
-        "j_invariant", "verify_row", "weierstrass_ab", "weierstrass_j",
+        "ClassificationRow", "RowReport", "classification_table", "ideal_wj", "j_invariant",
+        "verify_row", "weierstrass_ab", "weierstrass_j",
     ),
 }
 _HOME = {name: module for module, names in _MODULES.items() for name in names}

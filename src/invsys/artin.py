@@ -56,7 +56,6 @@ from typing import NamedTuple, Optional
 from .errors import DegreeCapError, NotArtinError
 from .linalg import (
     Echelon,
-    Frame,
     SubspaceBasis,
     _projected,
     _unit_echelon,
@@ -157,11 +156,11 @@ def _extended(ring: Ring, ech: Echelon, gens: list[Poly], bound: int) -> tuple[E
     vecs.sort(key=min, reverse=True)
     out = _unit_echelon(ring.char, units, vecs)
     added = []
+    size = ring.frame_size(bound)
     for g in gens:
-        if g.order() <= bound:
-            vec = {k: c for k, c in g.truncated(bound).vec.items() if k not in units}
-            if vec and out.insert(vec) is not None:
-                added.append(g)
+        vec = {k: c for k, c in g.vec.items() if k < size and k not in units}
+        if vec and out.insert(vec) is not None:
+            added.append(g)
     return out, added
 
 
@@ -174,9 +173,9 @@ def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
     so those units are placed as rows by ``_unit_echelon`` and the other
     rows' lowerings are eliminated stripped of them.
     """
-    ring = span.frame.ring
+    ring = span.ring
     rows = span.echelon.rows
-    tables = ring.lower_table(span.frame.bound)
+    tables = ring.lower_table(span.bound)
     units = {low[0] for p, row in rows.items() if len(row) == 1 for down in tables if (low := down[p])}
     weighted = action == DER
     vecs = [
@@ -195,7 +194,7 @@ def truncation_span(ideal: IdealHandle, bound: int) -> SubspaceBasis:
         raise DegreeCapError(
             f"bound {bound} exceeds degree cap {ideal.ring.max_degree_cap}"
         )
-    return SubspaceBasis(Frame(ideal.ring, bound), ideal._span_echelon(bound))
+    return SubspaceBasis(ideal.ring, bound, ideal._span_echelon(bound))
 
 
 def _codim(ideal: IdealHandle, bound: int) -> int:
@@ -271,7 +270,7 @@ def socle_ideal(ideal: IdealHandle) -> list[Poly]:
     if s == 0:
         return [Poly.one(ideal.ring)]
     # (I : m)^perp lies in the <=s-1 frame: (I : m) has socle degree s - 1
-    dual = SubspaceBasis(Frame(ideal.ring, s - 1), _colon_dual(ideal, s))
+    dual = SubspaceBasis(ideal.ring, s - 1, _colon_dual(ideal, s))
     return minimal_ideal(perp_space(dual, CONT)).generators
 
 
@@ -347,7 +346,7 @@ def minimal_ideal(span: SubspaceBasis) -> IdealHandle:
     the perp of a space with a degree-B element), so both are seeded and no
     Artinianity search runs.  Candidates are the rows, then m^(B+1)'s.
     """
-    ring, bound = span.frame.ring, span.frame.bound
+    ring, bound = span.ring, span.bound
     gens = span.row_polys() + [Poly.monomial(ring, m) for m in ring.monomials_of_degree(bound + 1)]
     out = IdealHandle(ring, gens)
     out._keep(bound, span.echelon)

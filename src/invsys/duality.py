@@ -22,11 +22,12 @@ Each direction is one complement and one seeded constructor, here
 complement's rows, the complement seeded, the Nakayama selection kept.
 
 Submodules are handled by generator lists; the canonical semantic object is
-the closure span, the k-span of all x^a o g_j, cached on the handle.  Its
-frame is bounded by the ring's degree cap.  The closure and the colon's
-unknowns come from ``_orbit``, which forms each x^a o g from
-x^(a - e_i) o g on index vectors through the ring's lower table;
-``apply_action`` only re-checks the colon's answer.
+the closure span, the k-span of all x^a o g_j in the frame of the top
+generator degree, bounded by the ring's degree cap.  It is what
+``SubmoduleHandle.closure`` returns, a ``SubspaceBasis`` cached on the
+handle.  The closure and the colon's unknowns come from ``_orbit``, which
+forms each x^a o g from x^(a - e_i) o g on index vectors through the ring's
+lower table; ``apply_action`` only re-checks the colon's answer.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Iterator, Optional
 
 from .artin import IdealHandle, maximal_action, minimal_ideal, require_artin, truncation_span
 from .errors import DegreeCapError, VerificationError
-from .linalg import Echelon, Frame, SubspaceBasis, Vector, perp_space, solve_combination
+from .linalg import Echelon, SubspaceBasis, Vector, perp_space, solve_combination
 from .poly import DER, Poly, Ring, _lowered, _poly, apply_action, check_action, format_poly, top_form
 
 
@@ -78,26 +79,25 @@ class SubmoduleHandle:
         self.ring = ring
         self.action = action
         self.generators = gens
-        self._closure: Optional[Echelon] = None
+        self._closure: Optional[SubspaceBasis] = None
 
     @property
     def degree_bound(self) -> int:
         """Top generator degree; -1 for the zero module."""
         return max((g.degree() for g in self.generators), default=-1)
 
-    def closure(self) -> Echelon:
-        """Span of all x^a o g_j: the module as a subspace of S_<=D."""
+    def closure(self) -> SubspaceBasis:
+        """Span of all x^a o g_j: the module as a subspace of S_<=D, for D
+        the top generator degree (0 for the zero module)."""
         if self._closure is None:
-            ring = self.ring
-            if self.degree_bound > ring.max_degree_cap:
-                raise DegreeCapError(
-                    f"module degree {self.degree_bound} exceeds degree cap {ring.max_degree_cap}"
-                )
+            ring, bound = self.ring, self.degree_bound
+            if bound > ring.max_degree_cap:
+                raise DegreeCapError(f"module degree {bound} exceeds degree cap {ring.max_degree_cap}")
             ech = Echelon(ring.char)
             for g in self.generators:
                 orbit = _orbit(ring, g.vec, g.degree(), self.action)
                 ech.insert_all(vec for vec in orbit if vec)
-            self._closure = ech
+            self._closure = SubspaceBasis(ring, max(bound, 0), ech)
         return self._closure
 
     def __repr__(self) -> str:
@@ -105,13 +105,6 @@ class SubmoduleHandle:
             f"SubmoduleHandle({len(self.generators)} generators, "
             f"action={self.action!r}, {self.ring!r})"
         )
-
-
-def closure_span(module: SubmoduleHandle) -> SubspaceBasis:
-    """The module's closure as a subspace of its degree-bound frame."""
-    return SubspaceBasis(
-        Frame(module.ring, max(module.degree_bound, 0)), module.closure()
-    )
 
 
 def member_ih(g: Poly, module: SubmoduleHandle) -> bool:
@@ -122,7 +115,7 @@ def member_ih(g: Poly, module: SubmoduleHandle) -> bool:
         return True
     if g.degree() > module.degree_bound:
         return False
-    return module.closure().contains(g.vec)
+    return module.closure().echelon.contains(g.vec)
 
 
 def _check_compatible(a: SubmoduleHandle, b: SubmoduleHandle) -> None:
@@ -135,14 +128,14 @@ def _check_compatible(a: SubmoduleHandle, b: SubmoduleHandle) -> None:
 def sub_mod_ih(a: SubmoduleHandle, b: SubmoduleHandle) -> bool:
     """True iff the module of ``a`` is contained in the module of ``b``."""
     _check_compatible(a, b)
-    target = b.closure()
-    return all(target.contains(row) for row in a.closure().rows.values())
+    target = b.closure().echelon
+    return all(target.contains(row) for row in a.closure().echelon.rows.values())
 
 
 def eq_mod_ih(a: SubmoduleHandle, b: SubmoduleHandle) -> bool:
     """True iff the two handles generate the same submodule of S."""
     _check_compatible(a, b)
-    return a.closure() == b.closure()
+    return a.closure().echelon == b.closure().echelon
 
 
 def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
@@ -153,7 +146,7 @@ def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
     canonical order of the top form, then full canonical text), matching the
     normalization used for inverse-system output.
     """
-    ech = maximal_action(closure_span(module), module.action)
+    ech = maximal_action(module.closure(), module.action)
 
     def sort_key(g: Poly):
         return (-g.degree(), format_poly(top_form(g)), format_poly(g))
@@ -186,8 +179,8 @@ def minimal_module(closure: SubspaceBasis, action: str) -> SubmoduleHandle:
     One handle on the closure's rows, with the closure seeded, so the
     Nakayama pass of :func:`min_gens_ih` reads it instead of rebuilding it.
     """
-    out = SubmoduleHandle(closure.frame.ring, closure.row_polys(), action)
-    out._closure = closure.echelon
+    out = SubmoduleHandle(closure.ring, closure.row_polys(), action)
+    out._closure = closure
     out.generators = min_gens_ih(out)
     return out
 
@@ -197,7 +190,7 @@ def ideal_ann(module: SubmoduleHandle) -> IdealHandle:
     if not module.generators:
         raise ValueError("zero module: annihilator is the whole ring")
     # the closure's complement is the span at D, and D is the socle degree
-    return minimal_ideal(perp_space(closure_span(module), module.action))
+    return minimal_ideal(perp_space(module.closure(), module.action))
 
 
 def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[Poly]:

@@ -10,7 +10,8 @@ curves (j = 0 and j = 1728), and the one-parameter family
 
 whose annihilator is the explicit quadric ideal I(j) returned by
 :func:`ideal_wj`.  ``verify_row`` machine-checks each table row with the
-duality machinery (characteristic 0, differentiation action).
+duality machinery (characteristic 0, differentiation action).  Every
+polynomial here lies in one ring, Q[x1, x2, x3].
 """
 
 from __future__ import annotations
@@ -20,41 +21,34 @@ from typing import NamedTuple, Optional
 
 from .artin import IdealHandle, eq_ideal, hilbert, is_ag
 from .duality import SubmoduleHandle, ideal_ann
-from .errors import CharacteristicError, SingularCurveError
+from .errors import SingularCurveError
 from .poly import DER, Poly, Ring, parse_poly
 
-
-def _require_char0_3vars(ring: Ring) -> None:
-    if ring.char != 0:
-        raise CharacteristicError("the cubic classification lives in characteristic 0")
-    if ring.nvars != 3:
-        raise ValueError("the cubic classification needs exactly 3 variables")
+# The one ring of the table: Q[x1, x2, x3].  Rings compare by variables and
+# characteristic, so these polynomials mix with a caller's own Ring(3, 0).
+_RING = Ring(3, 0)
 
 
-def default_ring() -> Ring:
-    """A fresh char-0 ring in x1, x2, x3."""
-    return Ring(3, 0)
+def _discriminant(a: Fraction, b: Fraction) -> Fraction:
+    """4a^3 + 27b^2, which must not vanish: the curve is smooth."""
+    disc = 4 * a**3 + 27 * b**2
+    if disc == 0:
+        raise SingularCurveError(f"singular curve: 4a^3 + 27b^2 = 0 for a={a}, b={b}")
+    return disc
 
 
 def j_invariant(a: Fraction, b: Fraction) -> Fraction:
     """j = 1728 * 4a^3 / (4a^3 + 27b^2) of the curve x2^2*x3 = x1^3 + a*x1*x3^2 + b*x3^3."""
     a, b = Fraction(a), Fraction(b)
-    disc = 4 * a**3 + 27 * b**2
-    if disc == 0:
-        raise SingularCurveError(f"singular curve: 4a^3 + 27b^2 = 0 for a={a}, b={b}")
-    return 1728 * 4 * a**3 / disc
+    return 1728 * 4 * a**3 / _discriminant(a, b)
 
 
-def weierstrass_ab(a: Fraction, b: Fraction, ring: Optional[Ring] = None) -> Poly:
+def weierstrass_ab(a: Fraction, b: Fraction) -> Poly:
     """The cubic x1^3 + a*x1*x3^2 + b*x3^3 - x2^2*x3 (zero set = the curve)."""
-    if ring is None:
-        ring = default_ring()
-    _require_char0_3vars(ring)
     a, b = Fraction(a), Fraction(b)
-    if 4 * a**3 + 27 * b**2 == 0:
-        raise SingularCurveError(f"singular curve: 4a^3 + 27b^2 = 0 for a={a}, b={b}")
+    _discriminant(a, b)
     return Poly(
-        ring,
+        _RING,
         {
             (3, 0, 0): Fraction(1),
             (1, 0, 2): a,
@@ -64,38 +58,32 @@ def weierstrass_ab(a: Fraction, b: Fraction, ring: Optional[Ring] = None) -> Pol
     )
 
 
-def weierstrass_j(j: Fraction, ring: Optional[Ring] = None) -> Poly:
+def weierstrass_j(j: Fraction) -> Poly:
     """A cubic with moduli j: W(0), W(1728), or the generic family member."""
-    if ring is None:
-        ring = default_ring()
-    _require_char0_3vars(ring)
     j = Fraction(j)
     if j == 0:
-        return parse_poly("x2^2*x3+x2*x3^2-x1^3", ring)
+        return parse_poly("x2^2*x3+x2*x3^2-x1^3", _RING)
     if j == 1728:
-        return parse_poly("x2^2*x3-x1*x3^2-x1^3", ring)
+        return parse_poly("x2^2*x3-x1*x3^2-x1^3", _RING)
     t = j - 1728
-    base = parse_poly("x2^2*x3+x1*x2*x3-x1^3", ring)
-    tail = parse_poly("36*x1*x3^2+x3^3", ring)
+    base = parse_poly("x2^2*x3+x1*x2*x3-x1^3", _RING)
+    tail = parse_poly("36*x1*x3^2+x3^3", _RING)
     return base.scaled(t) + tail
 
 
-def ideal_wj(j: Fraction, ring: Optional[Ring] = None) -> IdealHandle:
+def ideal_wj(j: Fraction) -> IdealHandle:
     """The quadric ideal I(j) = (x2^2 - 2*x1*x2, H_j, G_j), for j not in {0, 1728}.
 
     Its inverse system under differentiation is the cubic W(j); the two
     excluded moduli have dedicated rows in the classification table.
     """
-    if ring is None:
-        ring = default_ring()
-    _require_char0_3vars(ring)
     j = Fraction(j)
     if j in (0, 1728):
         raise ValueError("j must avoid 0 and 1728; use the dedicated table rows")
     t = j - 1728
-    g1 = parse_poly("x2^2-2*x1*x2", ring)
+    g1 = parse_poly("x2^2-2*x1*x2", _RING)
     h = Poly(
-        ring,
+        _RING,
         {
             (1, 1, 0): 6 * j,
             (1, 0, 1): -144 * t,
@@ -104,7 +92,7 @@ def ideal_wj(j: Fraction, ring: Optional[Ring] = None) -> IdealHandle:
         },
     )
     g = Poly(
-        ring,
+        _RING,
         {
             (2, 0, 0): j,
             (1, 0, 1): -12 * t,
@@ -112,7 +100,7 @@ def ideal_wj(j: Fraction, ring: Optional[Ring] = None) -> IdealHandle:
             (0, 0, 2): 144 * t,
         },
     )
-    return IdealHandle(ring, [g1, h, g])
+    return IdealHandle(_RING, [g1, h, g])
 
 
 class ClassificationRow(NamedTuple):
@@ -136,6 +124,8 @@ class RowReport(NamedTuple):
     passed: bool
 
 
+# (label, model ideal, inverse system): the inverse system is given as text,
+# or for the two special elliptic rows as the modulus j of the cubic W(j)
 _TABLE_MODELS = [
     ("Three independent lines", "x1^2, x2^2, x3^2", "x1*x2*x3"),
     (
@@ -161,62 +151,45 @@ _TABLE_MODELS = [
     (
         "Elliptic curve j=0",
         "x3^3, x1^3+3*x2^2*x3, x1*x3, x2^2-x2*x3+x3^2, x1*x2",
-        None,
+        Fraction(0),
     ),
     (
         "Elliptic curve j=1728",
         "x2^2+x1*x3, x1*x2, x1^2-3*x3^2",
-        None,
+        Fraction(1728),
     ),
 ]
 
 
-def classification_table(
-    j: Fraction = Fraction(2), ring: Optional[Ring] = None
-) -> list[ClassificationRow]:
+def classification_table(j: Fraction = Fraction(2)) -> list[ClassificationRow]:
     """The eight table rows; the generic elliptic row is instantiated at ``j``.
 
     ``j`` is anything ``Fraction`` reads, such as 2, "-7/3" or a Fraction,
     and must avoid 0 and 1728 (those moduli have their own rows).
     """
-    if ring is None:
-        ring = default_ring()
-    _require_char0_3vars(ring)
     j = Fraction(j)
     rows = []
-    special_j = {5: Fraction(0), 6: Fraction(1728)}
-    for k, (label, models, inverse) in enumerate(_TABLE_MODELS):
-        model = [parse_poly(t.strip(), ring) for t in models.split(",")]
-        jv = special_j.get(k)
-        if inverse is None:
-            f = weierstrass_j(jv, ring)
+    for label, models, inverse in _TABLE_MODELS:
+        model = [parse_poly(t.strip(), _RING) for t in models.split(",")]
+        if isinstance(inverse, str):
+            rows.append(ClassificationRow(label, model, parse_poly(inverse, _RING)))
         else:
-            f = parse_poly(inverse, ring)
-        rows.append(ClassificationRow(label, model, f, jv))
-    rows.append(
-        ClassificationRow(
-            f"Elliptic curve j={j}",
-            ideal_wj(j, ring).generators,
-            weierstrass_j(j, ring),
-            j,
-        )
-    )
+            rows.append(ClassificationRow(label, model, weierstrass_j(inverse), inverse))
+    rows.append(ClassificationRow(f"Elliptic curve j={j}", ideal_wj(j).generators, weierstrass_j(j), j))
     return rows
 
 
-def verify_row(row: ClassificationRow, ring: Optional[Ring] = None) -> RowReport:
-    """Machine-check one row under differentiation in characteristic 0.
+def verify_row(row: ClassificationRow) -> RowReport:
+    """Machine-check one row under differentiation in Q[x1, x2, x3].
 
     Three sub-checks, all required: the annihilator of the row's cubic equals
     the model ideal, the quotient's Hilbert function is {1,3,3,1}, and the
-    quotient is Gorenstein with socle degree 3.
+    quotient is Gorenstein with socle degree 3.  A row over another ring
+    raises ``ValueError``.
     """
-    if ring is None:
-        ring = row.inverse_system.ring
-    _require_char0_3vars(ring)
-    module = SubmoduleHandle(ring, [row.inverse_system], DER)
+    module = SubmoduleHandle(_RING, [row.inverse_system], DER)
     ann = ideal_ann(module)
-    model = IdealHandle(ring, row.model_ideal)
+    model = IdealHandle(_RING, row.model_ideal)
     checks = {
         "annihilator_equals_model": eq_ideal(ann, model),
         "hilbert_1331": hilbert(model) == [1, 3, 3, 1],

@@ -94,9 +94,7 @@ class Echelon:
         if char:
             out = {k: r for k, c in vec.items() if (r := c % char)}
             for p in [p for p in out if p in rows]:
-                c = out.get(p)
-                if not c:
-                    continue
+                c = out[p]
                 for k, v in rows[p].items():
                     s = out.get(k)
                     s = -c * v % char if s is None else (s - c * v) % char
@@ -107,9 +105,7 @@ class Echelon:
             return out
         out = dict(vec)
         for p in [p for p in out if p in rows]:
-            c = out.get(p)
-            if not c:
-                continue
+            c = out[p]
             row = rows[p]
             a = row[p]
             if a != 1:
@@ -252,35 +248,24 @@ def _unit_echelon(char: int, units: set[int], stripped: Iterable[Vector]) -> Ech
     return ech
 
 
-class Frame:
-    """All monomials of degree <= bound, in canonical order, as coordinates."""
+class SubspaceBasis:
+    """A subspace of the degree-<=bound frame of ``ring`` (its monomials of
+    degree <= bound, in canonical order), held as a unique reduced
+    row-echelon basis."""
 
-    __slots__ = ("ring", "bound", "size")
+    __slots__ = ("ring", "bound", "echelon")
 
-    def __init__(self, ring: Ring, bound: int):
+    def __init__(self, ring: Ring, bound: int, echelon: Echelon):
         if bound < 0:
             raise ValueError("frame bound must be >= 0")
         self.ring = ring
         self.bound = bound
-        self.size = ring.frame_size(bound)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Frame):
-            return self.ring == other.ring and self.bound == other.bound
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"Frame(bound={self.bound}, size={self.size})"
-
-
-class SubspaceBasis:
-    """A subspace of a frame, held as a unique reduced row-echelon basis."""
-
-    __slots__ = ("frame", "echelon")
-
-    def __init__(self, frame: Frame, echelon: Echelon):
-        self.frame = frame
         self.echelon = echelon
+
+    @property
+    def size(self) -> int:
+        """The number of coordinates: monomials of degree <= bound."""
+        return self.ring.frame_size(self.bound)
 
     @property
     def dim(self) -> int:
@@ -288,30 +273,28 @@ class SubspaceBasis:
 
     def row_polys(self) -> list[Poly]:
         """The reduced basis rows as polynomials, ordered by pivot."""
-        ring = self.frame.ring
-        return [_poly(ring, dict(row), row[p]) for p, row in sorted(self.echelon.rows.items())]
+        return [_poly(self.ring, dict(row), row[p]) for p, row in sorted(self.echelon.rows.items())]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SubspaceBasis):
-            return self.frame == other.frame and self.echelon == other.echelon
+            return (self.ring, self.bound, self.echelon) == (other.ring, other.bound, other.echelon)
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"SubspaceBasis(dim={self.dim}, {self.frame!r})"
+        return f"SubspaceBasis(dim={self.dim}, bound={self.bound}, size={self.size})"
 
 
-def span_of(polys: Sequence[Poly], frame: Frame) -> SubspaceBasis:
-    """Reduced basis of the k-span of the given polynomials."""
-    ech = Echelon(frame.ring.char)
+def span_of(polys: Sequence[Poly], ring: Ring, bound: int) -> SubspaceBasis:
+    """Reduced basis of the k-span of the given polynomials, in the
+    degree-<=bound frame of ``ring``."""
+    ech = Echelon(ring.char)
     for p in polys:
-        if p.ring != frame.ring:
+        if p.ring != ring:
             raise FrameMismatchError("polynomial from a different ring")
-        if p.degree() > frame.bound:
-            raise FrameMismatchError(
-                f"degree {p.degree()} exceeds frame bound {frame.bound}"
-            )
+        if p.degree() > bound:
+            raise FrameMismatchError(f"degree {p.degree()} exceeds frame bound {bound}")
         ech.insert(p.vec)
-    return SubspaceBasis(frame, ech)
+    return SubspaceBasis(ring, bound, ech)
 
 
 def kernel_of_vectors(vectors: Sequence[Vector], width: int, char: int) -> list[dict[int, int]]:
@@ -369,10 +352,10 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     keeps every zero, so each row stays reduced once scaled back to a
     primitive integer vector.
     """
-    ring = u.frame.ring
+    ring = u.ring
     check_action(ring, action)
     rows = u.echelon.rows
-    held = {f: {} for f in range(u.frame.size) if f not in rows}
+    held = {f: {} for f in range(u.size) if f not in rows}
     for p, row in rows.items():
         for f, c in row.items():
             if f != p:
@@ -388,10 +371,10 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     # complements of m o I^perp took 1.4-2.5 times as long
     ech.insert_all(sorted(kernel, key=lambda v: (len(v), -max(v))))
     if action == DER:
-        weight = ring.weight_table(u.frame.bound)
+        weight = ring.weight_table(u.bound)
         rescaled = {}
         for p, row in ech.rows.items():
             top = lcm(*(weight[k] for k in row))
             rescaled[p] = _primitive({k: c * (top // weight[k]) for k, c in row.items()})
         ech.rows = rescaled
-    return SubspaceBasis(u.frame, ech)
+    return SubspaceBasis(ring, u.bound, ech)

@@ -109,11 +109,7 @@ class Ring:
         self.char = char
         if default_action is None:
             default_action = DER if char == 0 else CONT
-        if default_action not in ACTIONS:
-            raise ValueError(f"unknown action {default_action!r}")
-        if default_action == DER and char != 0:
-            raise CharacteristicError("derivation action requires characteristic 0")
-        self.default_action = default_action
+        self.default_action = check_action(self, default_action)
         self.max_degree_cap = max_degree_cap
         self._flat: list[Monomial] = [(0,) * nvars]
         self._index: dict[Monomial, int] = {(0,) * nvars: 0}

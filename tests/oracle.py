@@ -39,7 +39,6 @@ from invsys import (
     DER,
     ArtinStatus,
     Echelon,
-    Frame,
     IdealHandle,
     Poly,
     Ring,
@@ -236,8 +235,8 @@ def is_level(ideal: IdealHandle) -> int:
 
 def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     """The complement as the kernel of U's transposed rows, then weighted."""
-    ring = u.frame.ring
-    m = u.frame.size
+    ring = u.ring
+    m = u.size
     columns: list[Vector] = [dict() for _ in range(m)]
     for ri, row in enumerate(sorted_rows(u.echelon)):
         for c, val in row.items():
@@ -249,7 +248,7 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
                 {c: Fraction(val, math.prod(map(math.factorial, ring.monomial_at(c)))) for c, val in vec.items()}
             ])[0]
         ech.insert(vec)
-    return SubspaceBasis(u.frame, ech)
+    return SubspaceBasis(ring, u.bound, ech)
 
 
 def closure(module: SubmoduleHandle) -> Echelon:
@@ -282,7 +281,7 @@ def colon(f: Poly, g: Poly, action: str) -> Optional[Poly]:
 
 def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
     """Echelon of m o V, every x_i applied to every row as a polynomial."""
-    ring = span.frame.ring
+    ring = span.ring
     ech = Echelon(ring.char)
     for row in sorted_rows(span.echelon):
         g = poly_of(ring, row)
@@ -295,8 +294,8 @@ def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
 
 def min_gens_ih(module: SubmoduleHandle) -> list[Poly]:
     """Nakayama selection against m o closure built by applying each x_i."""
-    frame = Frame(module.ring, max(module.degree_bound, 0))
-    ech = maximal_action(SubspaceBasis(frame, closure(module)), module.action)
+    span = SubspaceBasis(module.ring, max(module.degree_bound, 0), closure(module))
+    ech = maximal_action(span, module.action)
 
     def sort_key(g: Poly):
         return (-g.degree(), format_poly(top_form(g)), format_poly(g))
@@ -312,7 +311,7 @@ def inv_syst(ideal: IdealHandle, action: str) -> list[Poly]:
     """Minimal generators of I^perp: the kernel complement of the product span."""
     ring = ideal.ring
     s = artin_status(ideal).socle_degree
-    perp = perp_space(SubspaceBasis(Frame(ring, s), product_span(ideal, s)), action)
+    perp = perp_space(SubspaceBasis(ring, s, product_span(ideal, s)), action)
     return min_gens_ih(SubmoduleHandle(ring, perp.row_polys(), action))
 
 
@@ -375,4 +374,4 @@ def is_level_dual(ideal: IdealHandle, action: Optional[str] = None) -> bool:
     if any(g.degree() != s for g in gens):
         return False
     tops = [top_form(g) for g in gens]
-    return span_of(tops, Frame(ideal.ring, s)).dim == len(tops)
+    return span_of(tops, ideal.ring, s).dim == len(tops)

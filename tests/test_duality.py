@@ -16,7 +16,6 @@ from invsys import (
     SubmoduleHandle,
     analyze_artin,
     apply_action,
-    closure_span,
     colon_inv_syst,
     eq_ideal,
     eq_mod_ih,
@@ -58,16 +57,16 @@ def module(ring, *texts, action=None):
 
 
 def test_closure_of_constants(r3):
-    assert closure_span(module(r3, "1")).dim == 1
+    assert module(r3, "1").closure().dim == 1
 
 
 def test_closure_squarefree_contraction(r3):
-    assert closure_span(module(r3, "x1*x2*x3", action=CONT)).dim == 8
+    assert module(r3, "x1*x2*x3", action=CONT).closure().dim == 8
 
 
 def test_closure_univariate_chain():
     r = Ring(1, 0)
-    assert closure_span(module(r, "x1^3", action=CONT)).dim == 4
+    assert module(r, "x1^3", action=CONT).closure().dim == 4
 
 
 def test_closure_rejects_derivation_in_char_p():
@@ -81,10 +80,10 @@ def test_closure_fixed_under_variable_action(r3):
 
     m = module(r3, "x1^2*x2+x3^3", "x1*x3")
     closure = m.closure()
-    for row_poly in closure_span(m).row_polys():
+    for row_poly in closure.row_polys():
         for i in (1, 2, 3):
             img = apply_der(Poly.variable(r3, i), row_poly)
-            assert closure.contains(img.vec)
+            assert closure.echelon.contains(img.vec)
 
 
 # -- inverse systems ----------------------------------------------------------------
@@ -130,7 +129,7 @@ def test_inv_syst_length_duality(r3):
         i = random_artin_ideal(rng, r3)
         s = analyze_artin(i).socle_degree
         length = r3.frame_size(s) - truncation_span(i, s).dim
-        assert closure_span(inv_syst(i)).dim == length
+        assert inv_syst(i).closure().dim == length
 
 
 # -- annihilators ---------------------------------------------------------------------
@@ -260,7 +259,7 @@ def test_min_gens_count_matches_nakayama_quotient(r3):
         gens = random_module_gens(rng, r3)
         m = SubmoduleHandle(r3, gens, DER)
         count = len(min_gens_ih(m))
-        closure = closure_span(m)
+        closure = m.closure()
         from invsys import apply_der
 
         images = []
@@ -269,7 +268,7 @@ def test_min_gens_count_matches_nakayama_quotient(r3):
                 img = apply_der(Poly.variable(r3, i), row)
                 if not img.is_zero():
                     images.append(img)
-        sub = span_of(images, closure.frame).echelon
+        sub = span_of(images, closure.ring, closure.bound).echelon
         joint = sub.copy()
         joint.insert_all(closure.echelon.rows.values())
         assert count == joint.dim - sub.dim
@@ -458,7 +457,7 @@ def test_monomial_inverse_systems_are_staircases(r3):
         m = inv_syst(i, CONT)
         expected = {tuple(e) for e in staircase(r3, exps, s)}
         got = set()
-        for row in sorted_rows(m.closure()):
+        for row in sorted_rows(m.closure().echelon):
             assert len(row) == 1  # staircase closures are monomial spans
             got.add(r3.monomial_at(next(iter(row))))
         assert got == expected

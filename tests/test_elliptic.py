@@ -72,30 +72,30 @@ def test_j_scale_consistency_50_samples():
 
 
 def test_weierstrass_ab_examples(r3):
-    assert weierstrass_ab(0, 1, r3) == P(r3, "x1^3+x3^3-x2^2*x3")
-    assert weierstrass_ab(-1, 0, r3) == P(r3, "x1^3-x1*x3^2-x2^2*x3")
+    assert weierstrass_ab(0, 1) == P(r3, "x1^3+x3^3-x2^2*x3")
+    assert weierstrass_ab(-1, 0) == P(r3, "x1^3-x1*x3^2-x2^2*x3")
 
 
-def test_weierstrass_ab_homogeneous_cubic(r3):
+def test_weierstrass_ab_homogeneous_cubic():
     rng = random.Random(13)
     for _ in range(20):
         a = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         b = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
         if 4 * a**3 + 27 * b**2 == 0:
             continue
-        w = weierstrass_ab(a, b, r3)
+        w = weierstrass_ab(a, b)
         assert w.is_homogeneous() and w.degree() == 3
 
 
-def test_weierstrass_ab_singular_guard(r3):
+def test_weierstrass_ab_singular_guard():
     with pytest.raises(SingularCurveError):
-        weierstrass_ab(0, 0, r3)
+        weierstrass_ab(0, 0)
 
 
 def test_weierstrass_j_cases(r3):
-    assert weierstrass_j(0, r3) == P(r3, "x2^2*x3+x2*x3^2-x1^3")
-    assert weierstrass_j(1728, r3) == P(r3, "x2^2*x3-x1*x3^2-x1^3")
-    assert weierstrass_j(1729, r3) == P(
+    assert weierstrass_j(0) == P(r3, "x2^2*x3+x2*x3^2-x1^3")
+    assert weierstrass_j(1728) == P(r3, "x2^2*x3-x1*x3^2-x1^3")
+    assert weierstrass_j(1729) == P(
         r3, "x2^2*x3+x1*x2*x3-x1^3+36*x1*x3^2+x3^3"
     )
 
@@ -105,53 +105,51 @@ def test_weierstrass_j_cases(r3):
 
 def test_ideal_wj_first_generator_fixed(r3):
     for j in (1, 5, Fraction(22, 7)):
-        assert ideal_wj(j, r3).generators[0] == P(r3, "x2^2-2*x1*x2")
+        assert ideal_wj(j).generators[0] == P(r3, "x2^2-2*x1*x2")
 
 
-def test_ideal_wj_h_coefficient(r3):
-    h = ideal_wj(1, r3).generators[1]
+def test_ideal_wj_h_coefficient():
+    h = ideal_wj(1).generators[1]
     assert h.coeff((1, 1, 0)) == 6
 
 
-def test_ideal_wj_generators_homogeneous_quadrics(r3):
+def test_ideal_wj_generators_homogeneous_quadrics():
     rng = random.Random(17)
     for _ in range(10):
         j = random_j(rng)
-        for g in ideal_wj(j, r3).generators:
+        for g in ideal_wj(j).generators:
             assert g.is_homogeneous() and g.degree() == 2
 
 
-def test_ideal_wj_rejects_special_moduli(r3):
+def test_ideal_wj_rejects_special_moduli():
     for j in (0, 1728):
         with pytest.raises(ValueError):
-            ideal_wj(j, r3)
+            ideal_wj(j)
 
 
 def test_ideal_wj_family_invariants(r3):
     rng = random.Random(19)
-    w_frame_ring = r3
     for _ in range(8):
         j = random_j(rng)
-        ideal = ideal_wj(j, w_frame_ring)
-        w = weierstrass_j(j, w_frame_ring)
+        ideal = ideal_wj(j)
+        w = weierstrass_j(j)
         assert contains_power_of_maximal(ideal, 4)
         assert hilbert(ideal) == [1, 3, 3, 1]
         assert is_ag(ideal) == 3
         assert all(apply_der(g, w).is_zero() for g in ideal.generators)
-        assert eq_mod_ih(
-            inv_syst(ideal, DER), SubmoduleHandle(w_frame_ring, [w], DER)
-        )
+        # the family's ring and the caller's compare equal, so they mix
+        assert eq_mod_ih(inv_syst(ideal, DER), SubmoduleHandle(r3, [w], DER))
 
 
 # -- the classification table --------------------------------------------------------
 
 
-def test_table_has_eight_rows(r3):
-    assert len(classification_table(ring=r3)) == 8
+def test_table_has_eight_rows():
+    assert len(classification_table()) == 8
 
 
 def test_table_row_contents(r3):
-    rows = classification_table(ring=r3)
+    rows = classification_table()
     assert rows[0].model_ideal == [P(r3, "x1^2"), P(r3, "x2^2"), P(r3, "x3^2")]
     assert rows[0].inverse_system == P(r3, "x1*x2*x3")
     assert rows[4].model_ideal == [
@@ -166,29 +164,25 @@ def test_table_row_contents(r3):
 
 
 def test_table_inverse_systems_nondegenerate(r3):
-    from invsys import CONT, closure_span
+    from invsys import CONT, span_of
 
-    for row in classification_table(ring=r3):
+    for row in classification_table():
         f = row.inverse_system
         assert f.is_homogeneous() and f.degree() == 3
         m = SubmoduleHandle(r3, [f], CONT)
-        degree_one = [
-            p for p in closure_span(m).row_polys() if p.degree() == 1
-        ]
-        from invsys import Frame, span_of
-
-        assert span_of(degree_one, Frame(r3, 1)).dim == 3
+        degree_one = [p for p in m.closure().row_polys() if p.degree() == 1]
+        assert span_of(degree_one, r3, 1).dim == 3
 
 
-def test_verify_row_first_row(r3):
-    rows = classification_table(ring=r3)
-    report = verify_row(rows[0], r3)
+def test_verify_row_first_row():
+    rows = classification_table()
+    report = verify_row(rows[0])
     assert report.passed and all(report.checks.values())
 
 
-def test_verify_all_rows_default_and_alternate_j(r3):
+def test_verify_all_rows_default_and_alternate_j():
     for j in (Fraction(2), Fraction(-3, 5)):
-        reports = [verify_row(row, r3) for row in classification_table(j, r3)]
+        reports = [verify_row(row) for row in classification_table(j)]
         assert all(r.passed for r in reports)
         assert len(reports) == 8
 
@@ -201,14 +195,21 @@ def test_verify_row_reports_failure(r3):
         model_ideal=[P(r3, "x1^2"), P(r3, "x2^2"), P(r3, "x3^3")],
         inverse_system=P(r3, "x1*x2*x3"),
     )
-    report = verify_row(bogus, r3)
+    report = verify_row(bogus)
     assert not report.passed
     assert not report.checks["annihilator_equals_model"]
 
 
 def test_classification_requires_char0():
-    r5 = Ring(3, 5)
-    from invsys import CharacteristicError
+    # the table's ring is Q[x1, x2, x3]: a row over F_5 fails the module
+    # handle's ring check
+    from invsys import ClassificationRow
 
-    with pytest.raises(CharacteristicError):
-        classification_table(ring=r5)
+    r5 = Ring(3, 5)
+    row = ClassificationRow(
+        label="over F_5",
+        model_ideal=[P(r5, "x1^2"), P(r5, "x2^2"), P(r5, "x3^2")],
+        inverse_system=P(r5, "x1*x2*x3"),
+    )
+    with pytest.raises(ValueError, match="different ring"):
+        verify_row(row)

@@ -92,6 +92,11 @@ def test_parse_error_bad_syntax(r3):
     for bad in ["", "x", "3x1", "x1*", "x1**2", "+x1", "x1^", "3/", "x1 x2"]:
         with pytest.raises(ParseError):
             parse_poly(bad, r3)
+    # an unclosed x( names the missing parenthesis where it should stand
+    for bad, pos in [("x(1", 3), ("x(1 x2", 4)]:
+        with pytest.raises(ParseError, match="expected '\\)'") as info:
+            parse_poly(bad, r3)
+        assert info.value.position == pos
 
 
 def test_parse_error_char_p_denominator():
@@ -342,6 +347,19 @@ def test_degree_markers(r3):
     assert P(r3, "x1+x2^4").order() == 1
 
 
+@pytest.mark.parametrize("char", [0, 5])
+def test_poly_operators_agree_with_scaled_and_add(char):
+    r = Ring(2, char)
+    p, q = P(r, "3*x1^2-x2+1/2*x1*x2"), P(r, "x1^2+2/3*x2")
+    assert -p == p.scaled(-1)
+    assert p - q == p + q.scaled(-1)
+    assert p - p == Poly.zero(r)
+    assert 2 * p == p * 2 == p.scaled(2) == p + p
+    half = p * Fraction(1, 2)
+    assert half == p.scaled(Fraction(1, 2))
+    assert half + half == p
+
+
 def test_ring_validation():
     with pytest.raises(ValueError):
         Ring(0, 0)
@@ -349,6 +367,8 @@ def test_ring_validation():
         Ring(2, 4)  # not prime
     with pytest.raises(CharacteristicError):
         Ring(2, 5, default_action=DER)
+    with pytest.raises(ValueError, match="unknown action"):
+        Ring(2, 0, default_action="shift")
     assert Ring(2, 5).default_action == CONT
     assert Ring(2, 0).default_action == DER
 

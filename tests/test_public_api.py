@@ -33,6 +33,18 @@ def test_dual_routes_are_not_library_names(name):
     assert not hasattr(importlib.import_module("invsys.duality"), name)
 
 
+@pytest.mark.parametrize(
+    "name,module", [("Frame", "linalg"), ("closure_span", "duality"), ("default_ring", "elliptic")]
+)
+def test_second_spellings_are_gone(name, module):
+    # a subspace is one SubspaceBasis(ring, bound, echelon), a module's closure
+    # is what SubmoduleHandle.closure() returns, and the cubic table has one ring
+    assert name not in invsys.__all__
+    with pytest.raises(AttributeError):
+        getattr(invsys, name)
+    assert not hasattr(importlib.import_module(f"invsys.{module}"), name)
+
+
 def test_readme_lists_the_public_names_module_by_module():
     text = README.read_text(encoding="utf-8")
     section = text.split("### Public names", 1)[1].split("\n\n**", 1)[0]

@@ -102,7 +102,7 @@ def test_maximal_action_matches_oracle(name, char):
         for span in spans:
             ech = maximal_action(span, action)
             want = oracle.maximal_action(span, action)
-            assert ech == want, (action, span.frame.bound)
+            assert ech == want, (action, span.bound)
             # the placed unit rows keep the column index valid for inserts
             for row in span.echelon.rows.values():
                 assert ech.insert(row) == want.insert(row)
