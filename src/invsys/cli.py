@@ -92,7 +92,7 @@ def _resolve_input(arg: str) -> str:
 
 def _split_generators(text: str) -> list[str]:
     pieces = []
-    for line in text.splitlines() or [text]:
+    for line in text.splitlines():
         if "//" in line:
             line = line[: line.index("//")]
         for piece in line.split(","):

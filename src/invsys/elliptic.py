@@ -17,7 +17,7 @@ polynomial here lies in one ring, Q[x1, x2, x3].
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .artin import IdealHandle, eq_ideal, hilbert, is_ag
 from .duality import SubmoduleHandle, ideal_ann
@@ -113,7 +113,6 @@ class ClassificationRow(NamedTuple):
     label: str
     model_ideal: list[Poly]
     inverse_system: Poly
-    j_value: Optional[Fraction] = None
 
 
 class RowReport(NamedTuple):
@@ -174,8 +173,8 @@ def classification_table(j: Fraction = Fraction(2)) -> list[ClassificationRow]:
         if isinstance(inverse, str):
             rows.append(ClassificationRow(label, model, parse_poly(inverse, _RING)))
         else:
-            rows.append(ClassificationRow(label, model, weierstrass_j(inverse), inverse))
-    rows.append(ClassificationRow(f"Elliptic curve j={j}", ideal_wj(j).generators, weierstrass_j(j), j))
+            rows.append(ClassificationRow(label, model, weierstrass_j(inverse)))
+    rows.append(ClassificationRow(f"Elliptic curve j={j}", ideal_wj(j).generators, weierstrass_j(j)))
     return rows
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-from importlib import resources
 from typing import Optional
 
 from ..artin import IdealHandle, cm_type, eq_ideal, is_ag, socle_ideal
@@ -23,7 +22,7 @@ from ..poly import Ring, parse_poly
 
 def fixture_dir() -> str:
     """Directory holding the fixtures shipped inside the package."""
-    return str(resources.files("invsys.fixtures"))
+    return os.path.dirname(__file__)
 
 
 def _load_all(directory: str) -> list[tuple[str, dict]]:

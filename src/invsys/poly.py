@@ -29,6 +29,7 @@ is literal equality, and ``vec`` is the integral vector that
 from __future__ import annotations
 
 import math
+import re
 import threading
 from typing import Container, Iterator, Optional
 
@@ -508,51 +509,12 @@ def top_form(h: Poly) -> Poly:
 # var     := 'x' nat | 'x(' nat ')'
 # coeff   := nat | nat '/' nat
 #
-# Whitespace is ignored; '//' starts a comment running to end of line.
+# A nat is a run of decimal digits.  Blanks and '//' comments, which run to
+# the end of the line, may stand between any two tokens but never inside a nat.
 # ---------------------------------------------------------------------------
 
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self._skip()
-
-    def _skip(self) -> None:
-        t, n = self.text, len(self.text)
-        while self.pos < n:
-            c = t[self.pos]
-            if c.isspace():
-                self.pos += 1
-            elif c == "/" and self.pos + 1 < n and t[self.pos + 1] == "/":
-                while self.pos < n and t[self.pos] != "\n":
-                    self.pos += 1
-            else:
-                break
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self) -> str:
-        c = self.peek()
-        self.pos += 1
-        self._skip()
-        return c
-
-    def expect(self, c: str) -> None:
-        if self.peek() != c:
-            raise ParseError(f"expected {c!r}", self.pos)
-        self.take()
-
-    def nat(self) -> int:
-        if not self.peek().isdigit():
-            raise ParseError("expected a number", self.pos)
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        value = int(self.text[start : self.pos])
-        self._skip()
-        return value
+# blanks and comments are tried before a token, so '3//4' is 3 and a comment
+_LEXEME = re.compile(r"\s+|//[^\n]*|(?P<token>\d+|.)", re.S)
 
 
 def parse_poly(text: str, ring: Ring) -> Poly:
@@ -565,78 +527,67 @@ def parse_poly(text: str, ring: Ring) -> Poly:
     >>> format_poly(parse_poly("3/4*x(1)^2 - x2", r))
     '-x2+3/4*x1^2'
     """
-    sc = _Scanner(text)
+    # (token, offset) pairs; the empty token marks the end of the text
+    toks = [(m["token"], m.start()) for m in _LEXEME.finditer(text) if m["token"]]
+    toks.append(("", len(text)))
+    negative = toks[0][0] == "-"
+    i = int(negative)
+
+    def nat() -> int:
+        nonlocal i
+        tok, pos = toks[i]
+        if not tok.isdecimal():
+            raise ParseError("expected a number", pos)
+        i += 1
+        return int(tok)
+
     items = []
-    negative = False
-    if sc.peek() == "-":
-        sc.take()
-        negative = True
     while True:
-        num, den, mono = _parse_term(sc, ring)
-        items.append((ring.index_of(mono), -num if negative else num, den))
-        c = sc.peek()
-        if c == "":
-            break
-        if c == "+":
-            negative = False
-        elif c == "-":
-            negative = True
-        else:
-            raise ParseError(f"expected '+' or '-', found {c!r}", sc.pos)
-        sc.take()
-    return _from_ratios(ring, items)
-
-
-def _parse_term(sc: _Scanner, ring: Ring) -> tuple[int, int, Monomial]:
-    if sc.peek().isdigit():
-        pos = sc.pos
-        num = sc.nat()
-        den = 1
-        if sc.peek() == "/":
-            sc.take()
-            den = sc.nat()
-        if den == 0:
-            raise ParseError("zero denominator", pos)
-        if ring.char and den % ring.char == 0:
-            raise ParseError(f"denominator divisible by characteristic {ring.char}", pos)
-        if sc.peek() == "*":
-            sc.take()
-            return num, den, _parse_factors(sc, ring)
-        return num, den, (0,) * ring.nvars
-    if sc.peek() == "x":
-        return 1, 1, _parse_factors(sc, ring)
-    raise ParseError("expected a term", sc.pos)
-
-
-def _parse_factors(sc: _Scanner, ring: Ring) -> Monomial:
-    exps = [0] * ring.nvars
-    while True:
-        idx, e = _parse_factor(sc, ring)
-        exps[idx - 1] += e
-        if sc.peek() == "*":
-            sc.take()
-            continue
-        return tuple(exps)
-
-
-def _parse_factor(sc: _Scanner, ring: Ring) -> tuple[int, int]:
-    if sc.peek() != "x":
-        raise ParseError("expected a variable", sc.pos)
-    sc.take()
-    pos = sc.pos
-    if sc.peek() == "(":
-        sc.take()
-        idx = sc.nat()
-        sc.expect(")")
-    else:
-        idx = sc.nat()
-    if not 1 <= idx <= ring.nvars:
-        raise ParseError(f"variable index {idx} out of range 1..{ring.nvars}", pos)
-    exp = 1
-    if sc.peek() == "^":
-        sc.take()
-        exp = sc.nat()
-    return idx, exp
+        tok, pos = toks[i]
+        num = den = 1
+        exps = [0] * ring.nvars
+        more = tok == "x"  # a factor follows
+        if tok.isdecimal():  # a coefficient, then '*' and factors or nothing
+            num = nat()
+            if toks[i][0] == "/":
+                i += 1
+                den = nat()
+            if den == 0:
+                raise ParseError("zero denominator", pos)
+            if ring.char and den % ring.char == 0:
+                raise ParseError(f"denominator divisible by characteristic {ring.char}", pos)
+            more = toks[i][0] == "*"
+            i += more
+        elif not more:
+            raise ParseError("expected a term", pos)
+        while more:
+            tok, pos = toks[i]
+            if tok != "x":
+                raise ParseError("expected a variable", pos)
+            i += 1
+            pos = toks[i][1]
+            paren = toks[i][0] == "("
+            i += paren
+            idx = nat()
+            if paren:
+                if toks[i][0] != ")":
+                    raise ParseError("expected ')'", toks[i][1])
+                i += 1
+            if not 1 <= idx <= ring.nvars:
+                raise ParseError(f"variable index {idx} out of range 1..{ring.nvars}", pos)
+            power = toks[i][0] == "^"
+            i += power
+            exps[idx - 1] += nat() if power else 1
+            more = toks[i][0] == "*"
+            i += more
+        items.append((ring.index_of(tuple(exps)), -num if negative else num, den))
+        tok, pos = toks[i]
+        if not tok:
+            return _from_ratios(ring, items)
+        if tok not in ("+", "-"):
+            raise ParseError(f"expected '+' or '-', found {tok[0]!r}", pos)
+        negative = tok == "-"
+        i += 1
 
 
 def _format_monomial(mono: Monomial) -> str:

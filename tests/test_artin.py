@@ -64,6 +64,14 @@ def test_handle_rejects_units(r3):
     ideal(r3, "x1")  # fine
 
 
+def test_handles_of_different_rings_do_not_mix(r3):
+    r2 = Ring(2, 0)
+    with pytest.raises(ValueError, match="generator from a different ring"):
+        IdealHandle(r3, [P(r2, "x1")])
+    with pytest.raises(ValueError, match="ideals from different rings"):
+        eq_ideal(ideal(r3, "x1", "x2", "x3"), ideal(r2, "x1", "x2"))
+
+
 def test_handle_drops_zero_generators(r3):
     assert len(IdealHandle(r3, [Poly.zero(r3), P(r3, "x1")]).generators) == 1
 
@@ -90,6 +98,8 @@ def test_truncation_span_cap(r3):
 
     with pytest.raises(DegreeCapError):
         truncation_span(ideal(r, "x1"), 5)
+    with pytest.raises(DegreeCapError, match="degree 5 exceeds cap 4"):
+        contains_power_of_maximal(ideal(r, "x1", "x2", "x3"), 5)
 
 
 def test_spans_extend_safely_across_threads():

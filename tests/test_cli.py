@@ -132,6 +132,8 @@ def test_colon_cli(capsys):
         capsys, "colon", "--vars", "3", "--action", "cont", "x1^2", "x2"
     )
     assert (code, out) == (0, "0\n")
+    assert invoke(capsys, "colon", "--vars", "2", "x1, x2", "x1") == (
+        3, "", "error: expected exactly one polynomial, got 2\n")
 
 
 # -- exit codes --------------------------------------------------------------------------
@@ -169,6 +171,9 @@ def test_parse_error_exit_code(capsys):
     code, _, err = invoke(capsys, "is-ag", "--vars", "3", "x1^2+")
     assert code == 2
     assert "parse error" in err
+    # a digit that int() rejects is a parse error, not a failed precondition
+    assert invoke(capsys, "is-ag", "--vars", "2", "x1^\u00b2") == (
+        2, "", "parse error: expected a number (at position 3)\n")
 
 
 def test_zero_denominator_j_is_usage_error(capsys):
@@ -475,9 +480,16 @@ def test_replay_fixtures(capsys):
     assert "15/15 fixture checks passed" in out
 
 
-def test_replay_fixtures_missing_dir(capsys):
+def test_replay_fixtures_missing_dir(capsys, tmp_path):
     code, _, err = invoke(capsys, "replay-fixtures", "--dir", "/nonexistent/path")
     assert code == 3
+    # a directory without fixtures, then a fixture whose check kind is unknown
+    assert invoke(capsys, "replay-fixtures", "--dir", str(tmp_path)) == (
+        3, "", f"error: no fixture files in {tmp_path}\n")
+    check = {"kind": "bogus", "name": "b"}
+    (tmp_path / "bogus.json").write_text(json.dumps({"checks": [check]}), encoding="utf-8")
+    assert invoke(capsys, "replay-fixtures", "--dir", str(tmp_path)) == (
+        3, "", "error: unknown fixture check kind 'bogus'\n")
 
 
 def _child_env():

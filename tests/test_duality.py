@@ -236,6 +236,15 @@ def test_mod_ops_reject_mismatches(r3):
     b = module(r3, "x1", action=DER)
     with pytest.raises(ValueError):
         eq_mod_ih(a, b)
+    r2 = Ring(2, 0)
+    c = module(r2, "x1", action=CONT)
+    for op in (sub_mod_ih, eq_mod_ih):
+        with pytest.raises(ValueError, match="modules from different rings"):
+            op(a, c)
+    with pytest.raises(ValueError, match="polynomial from a different ring"):
+        member_ih(P(r2, "x1"), a)
+    with pytest.raises(ValueError, match="polynomials from different rings"):
+        colon_inv_syst(P(r3, "x1^2"), P(r2, "x1"), CONT)
 
 
 # -- minimal generators --------------------------------------------------------------------

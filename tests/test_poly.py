@@ -68,9 +68,24 @@ def test_parse_constant_and_merge(r3):
     assert f.terms == {(0, 0, 0): Fraction(5), (1, 0, 0): Fraction(3)}
 
 
+# accepted spellings: blanks and '//' comments stand between any two tokens
+_SPELLINGS = [
+    ("x1 + // trailing comment\n x2", "x1+x2"),
+    ("3//4", "3"),
+    ("3 / 4*x1", "3/4*x1"),
+    ("x (1)", "x1"),
+    ("x1 ^ 2", "x1^2"),
+    ("x1+x2 // c", "x1+x2"),
+    ("x1\t*\tx2", "x1*x2"),
+    ("x1\u00a0+\u00a0x2", "x1+x2"),
+    ("x1^\u0663", "x1^3"),  # ARABIC-INDIC DIGIT THREE is a decimal digit
+    ("x1^1\u0663", "x1^13"),  # and joins a run of other decimal digits
+]
+
+
 def test_parse_comments_and_whitespace(r3):
-    f = P(r3, "x1 + // trailing comment\n x2")
-    assert f == P(r3, "x1+x2")
+    for text, same in _SPELLINGS:
+        assert P(r3, text) == P(r3, same), text
 
 
 def test_parse_error_position(r3):
@@ -88,15 +103,43 @@ def test_parse_error_variable_range(r3):
         parse_poly("x(17)^2", r3)
 
 
-def test_parse_error_bad_syntax(r3):
-    for bad in ["", "x", "3x1", "x1*", "x1**2", "+x1", "x1^", "3/", "x1 x2"]:
-        with pytest.raises(ParseError):
-            parse_poly(bad, r3)
-    # an unclosed x( names the missing parenthesis where it should stand
-    for bad, pos in [("x(1", 3), ("x(1 x2", 4)]:
-        with pytest.raises(ParseError, match="expected '\\)'") as info:
-            parse_poly(bad, r3)
-        assert info.value.position == pos
+# (text, message, position) over F_5, one row or more for each message
+_PARSE_ERRORS = [
+    ("", "expected a term", 0),
+    ("+x1", "expected a term", 0),
+    ("x1^2+", "expected a term", 5),
+    ("x1^2+ // c\n", "expected a term", 11),
+    ("x", "expected a number", 1),
+    ("x1^", "expected a number", 3),
+    ("3/", "expected a number", 2),
+    ("3/ /4", "expected a number", 3),
+    ("x1^\u00b2", "expected a number", 3),  # SUPERSCRIPT TWO is a digit but not decimal
+    ("x\u00b2", "expected a number", 1),
+    ("x1*", "expected a variable", 3),
+    ("x1**2", "expected a variable", 3),
+    ("2*3", "expected a variable", 2),
+    ("x(1", "expected ')'", 3),
+    ("x(1 x2", "expected ')'", 4),
+    ("3x1", "expected '+' or '-', found 'x'", 1),
+    ("x1 x2", "expected '+' or '-', found 'x'", 3),
+    ("x1 12", "expected '+' or '-', found '1'", 3),
+    ("x1)", "expected '+' or '-', found ')'", 2),
+    ("1/0*x1", "zero denominator", 0),
+    ("x1 - 2/0", "zero denominator", 5),
+    ("1/5*x1", "denominator divisible by characteristic 5", 0),
+    ("x1+7/ 10", "denominator divisible by characteristic 5", 3),
+    ("x4", "variable index 4 out of range 1..3", 1),
+    ("x0", "variable index 0 out of range 1..3", 1),
+    ("x (17)^2", "variable index 17 out of range 1..3", 2),
+]
+
+
+def test_parse_error_bad_syntax():
+    r = Ring(3, 5)
+    for text, message, pos in _PARSE_ERRORS:
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, r)
+        assert (str(info.value), info.value.position) == (f"{message} (at position {pos})", pos), text
 
 
 def test_parse_error_char_p_denominator():
@@ -358,6 +401,8 @@ def test_poly_operators_agree_with_scaled_and_add(char):
     half = p * Fraction(1, 2)
     assert half == p.scaled(Fraction(1, 2))
     assert half + half == p
+    with pytest.raises(ValueError, match="different rings"):
+        p + P(Ring(3, char), "x1")
 
 
 def test_ring_validation():
@@ -369,6 +414,12 @@ def test_ring_validation():
         Ring(2, 5, default_action=DER)
     with pytest.raises(ValueError, match="unknown action"):
         Ring(2, 0, default_action="shift")
+    with pytest.raises(ValueError, match="degree cap must be positive"):
+        Ring(2, 0, max_degree_cap=0)
+    with pytest.raises(ValueError, match="variable index 0 out of range 1..2"):
+        Poly.variable(Ring(2, 0), 0)
+    with pytest.raises(ValueError, match="arity"):
+        Poly.monomial(Ring(2, 0), (1, 0, 0))
     assert Ring(2, 5).default_action == CONT
     assert Ring(2, 0).default_action == DER
 
