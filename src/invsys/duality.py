@@ -25,7 +25,7 @@ Submodules are handled by generator lists; the canonical semantic object is
 the closure span, the k-span of all x^a o g_j in the frame of the top
 generator degree, bounded by the ring's degree cap.  It is what
 ``SubmoduleHandle.closure`` returns, a ``SubspaceBasis`` cached on the
-handle.  The closure and the colon's unknowns come from ``_orbit``, which
+handle.  The closure and the colon's equations come from ``_orbit``, which
 forms each x^a o g from x^(a - e_i) o g on index vectors through the ring's
 lower table; ``apply_action`` only re-checks the colon's answer.
 """
@@ -36,8 +36,10 @@ from typing import Iterator, Optional
 
 from .artin import IdealHandle, maximal_action, minimal_ideal, require_artin, truncation_span
 from .errors import DegreeCapError, VerificationError
-from .linalg import Echelon, SubspaceBasis, Vector, perp_space, solve_combination
-from .poly import DER, Poly, Ring, _lowered, _poly, apply_action, check_action, format_poly, top_form
+from .linalg import Echelon, SubspaceBasis, Vector, perp_space
+from .poly import (
+    CONT, DER, Poly, Ring, _from_ratios, _lowered, apply_action, check_action, format_poly, sigma, top_form
+)
 
 
 def _orbit(ring: Ring, vec: Vector, bound: int, action: str) -> Iterator[Vector]:
@@ -67,9 +69,7 @@ class SubmoduleHandle:
     """
 
     def __init__(self, ring: Ring, generators: list[Poly], action: Optional[str] = None):
-        if action is None:
-            action = ring.default_action
-        check_action(ring, action)
+        action = check_action(ring, ring.default_action if action is None else action)
         gens = []
         for g in generators:
             if g.ring != ring:
@@ -166,9 +166,7 @@ def inv_syst(ideal: IdealHandle, action: Optional[str] = None) -> SubmoduleHandl
     complement, and dim closure = dim_k R/I.
     """
     ring = ideal.ring
-    if action is None:
-        action = ring.default_action
-    check_action(ring, action)
+    action = check_action(ring, ring.default_action if action is None else action)
     s = require_artin(ideal)
     return minimal_module(perp_space(truncation_span(ideal, s), action), action)
 
@@ -196,14 +194,27 @@ def ideal_ann(module: SubmoduleHandle) -> IdealHandle:
 def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[Poly]:
     """Some h in R of degree <= deg f with h o f = g, or None.
 
-    Monomials of h above deg f act as zero on f, so searching R_<=deg(f)
-    loses nothing.  The solver reduces against an echelon built in canonical
-    unknown order, so the returned representative is deterministic.
+    Monomials of h above deg f act as zero on f, so R_<=deg(f) is searched.
+    As sigma(h o_der f) = h o_cont sigma(f), the solve is h o F = G under
+    contraction, with F, G = sigma(f), sigma(g) for differentiation and f, g
+    else.  The coefficient of x^b in h o F is <h, x^b o F>, so equation b
+    is the row x^b o F from ``_orbit`` = G_b.  Unknown x^a is keyed at -a
+    and G_b at 1, so a reduced row pivots at its highest unknown, and a row
+    at 1 reads 0 = 1.  h is read off the pivots, its free unknowns zero.
+
+    That is the h of a solve that tags each x^a o f with a coordinate of its
+    own and reduces g.  With N the kernel of c -> sum_a c_a (x^a o f), that
+    solve returns the unique solution vanishing on L(N), the lowest-index
+    pivots of N.  For any subspace N, L(N) and H(N^perp), the highest-index
+    pivots of N^perp, split the coordinates: an n in N with lowest entry at
+    j and a w in N^perp with highest entry at j would give n.w = n_j * w_j
+    != 0, and their sizes add up to the number of coordinates.  N^perp is
+    the row space of the equations: under contraction the matrix f_(a+b) is
+    symmetric, and under differentiation equation b times b! is the row of
+    sigma(f).  So that solution is the one supported on H(N^perp).
     """
     ring = f.ring
-    if action is None:
-        action = ring.default_action
-    check_action(ring, action)
+    action = check_action(ring, ring.default_action if action is None else action)
     if f.is_zero():
         raise ValueError("colon solving requires f != 0")
     if g.ring != ring:
@@ -213,14 +224,17 @@ def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[P
         raise DegreeCapError(f"module degree {d} exceeds degree cap {ring.max_degree_cap}")
     if g.degree() > d:
         return None
-    # unknown k is the monomial at index k; its vector is x^a o (den f * f),
-    # and the target is den g * g, so h is the solution times den f / den g
-    vectors = _orbit(ring, f.vec, d, action)
-    sol = solve_combination(vectors, g.vec, ring.frame_size(d), ring.char)
-    if sol is None:
-        return None
-    vec, scale = sol
-    h = _poly(ring, {k: c * f.den for k, c in vec.items()}, scale * g.den)
+    big_f, big_g = (sigma(f), sigma(g)) if action == DER else (f, g)
+    ech = Echelon(ring.char)
+    for b, vec in enumerate(_orbit(ring, big_f.vec, d, CONT)):
+        row = {-a: c for a, c in vec.items()}
+        if b in big_g.vec:
+            row[1] = -big_g.vec[b]
+        if row and ech.insert(row) == 1:
+            return None  # the row reads 0 = 1
+    # y = h * den G / den F solves y o F.vec = G.vec, and row p reads y_-p * row[p] + row[1] = 0
+    solved = [(-p, -row[1] * big_f.den, row[p] * big_g.den) for p, row in ech.rows.items() if 1 in row]
+    h = _from_ratios(ring, solved)
     if apply_action(action, h, f) != g:
         raise VerificationError("colon solution fails the check h o f = g")
     return h

@@ -313,30 +313,6 @@ def kernel_of_vectors(vectors: Sequence[Vector], width: int, char: int) -> list[
     ]
 
 
-def solve_combination(
-    vectors: Iterable[Vector], target: Vector, width: int, char: int
-) -> Optional[tuple[Vector, int]]:
-    """Coefficients c and a scale s > 0 with sum_k (c_k / s) * vectors[k] =
-    target, or None; over F_p the scale is 1.
-
-    Deterministic: reduces against an echelon built by inserting the vectors
-    in order, each tagged with 1 at coordinate width + k, so the returned
-    combination is canonical for a given input order.  Keys of the result
-    are positions into ``vectors``.  A zero vector is skipped: its tag row
-    {width + k: 1} would hold no other row's pivot, no other row would hold
-    its column, and so it would never reach the residue.  The target is
-    tagged with 1 at coordinate -1, which no row holds, so the scale is what
-    the tag reads after ``reduce``.
-    """
-    ech = Echelon(char)
-    ech.insert_all({**v, width + k: 1} for k, v in enumerate(vectors) if v)
-    res = ech.reduce({**target, -1: 1})
-    scale = res.pop(-1)
-    if any(k < width for k in res):
-        return None
-    return {k - width: -c % char if char else -c for k, c in res.items()}, scale
-
-
 def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     """Orthogonal complement of U under the monomial pairing of ``action``.
 

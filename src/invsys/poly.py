@@ -516,6 +516,28 @@ def top_form(h: Poly) -> Poly:
 # blanks and comments are tried before a token, so '3//4' is 3 and a comment
 _LEXEME = re.compile(r"\s+|//[^\n]*|(?P<token>\d+|.)", re.S)
 
+# CPython 3.10.7+ refuses int/str conversions past sys.get_int_max_str_digits(),
+# which is at least 640 (or off); longer numbers convert in halves down to that
+_DIGITS = 640
+_LIMIT = 10**_DIGITS
+
+
+def _int(digits: str) -> int:
+    """int(digits) for a run of decimal digits of any length."""
+    if len(digits) <= _DIGITS:
+        return int(digits)
+    low = len(digits) // 2
+    return _int(digits[:-low]) * 10**low + _int(digits[-low:])
+
+
+def _str(n: int) -> str:
+    """str(n) for an int n >= 0 of any size."""
+    if n < _LIMIT:
+        return str(n)
+    low = n.bit_length() * 3 // 20  # about half of the digits of n
+    high, rest = divmod(n, 10**low)
+    return _str(high) + _str(rest).zfill(low)
+
 
 def parse_poly(text: str, ring: Ring) -> Poly:
     """Parse polynomial text into an exact Poly; strict about the grammar.
@@ -539,7 +561,7 @@ def parse_poly(text: str, ring: Ring) -> Poly:
         if not tok.isdecimal():
             raise ParseError("expected a number", pos)
         i += 1
-        return int(tok)
+        return _int(tok)
 
     items = []
     while True:
@@ -616,7 +638,7 @@ def format_poly(f: Poly) -> str:
         negative = c < 0
         g = math.gcd(c, den)
         num, d = abs(c) // g, den // g
-        mag = str(num) if d == 1 else f"{num}/{d}"
+        mag = _str(num) if d == 1 else f"{_str(num)}/{_str(d)}"
         mono_str = _format_monomial(at(k))
         if not mono_str:
             body = mag

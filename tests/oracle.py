@@ -8,9 +8,11 @@ as a tracked kernel (``kernel_of_vectors``), and the axis certificate sets
 variables to zero.  A module's closure, m o M and the colon's unknowns are
 formed by applying each monomial to a polynomial with ``apply_action``,
 where the library lowers index vectors through the ring's lower table.
-They share only the echelon, the colon's solve and the module actions with
-the library, none of its span builder, read-off complement, monomial tables
-or seeded caches, so they can cross-check those.
+The colon is solved over every unknown, each tagged with a coordinate of
+its own, where the library reads h off the echelon of its equations.  They
+share only the echelon and the module actions with the library, none of its
+span builder, read-off complement, colon solve, monomial tables or seeded
+caches, so they can cross-check those.
 
 Coefficients are read through the public ``p.terms`` and ``p.den`` and
 ``ring.index_of`` into this module's own exact vectors, ``Fraction`` over Q
@@ -50,7 +52,7 @@ from invsys import (
     top_form,
 )
 from invsys.artin import require_artin
-from invsys.linalg import Vector, kernel_of_vectors, solve_combination
+from invsys.linalg import Vector, kernel_of_vectors
 
 
 def monomials_upto(ring: Ring, degree: int) -> list[tuple[int, ...]]:
@@ -264,19 +266,29 @@ def closure(module: SubmoduleHandle) -> Echelon:
 
 
 def colon(f: Poly, g: Poly, action: str) -> Optional[Poly]:
-    """Some h in R_<=deg f with h o f = g, or None: the library's solve over
-    vectors formed by applying each monomial x^a to f as a polynomial."""
+    """Some h in R_<=deg f with h o f = g, or None: a solve over every
+    unknown, zeros included, each monomial x^a applied to f as a polynomial.
+
+    Each vector x^a o f, tagged with 1 at its own coordinate width + a, is
+    inserted, and g, tagged with 1 at coordinate -1, which no row holds, is
+    reduced.  A residue left in the first ``width`` coordinates means no
+    solution; otherwise the residue reads some s > 0 at -1 and -s * h_a at
+    width + a.
+    """
     ring = f.ring
     d = f.degree()
     if g.degree() > d:
         return None
     unknowns = monomials_upto(ring, d)
     *vectors, target = integral([exact(apply_action(action, Poly.monomial(ring, m), f)) for m in unknowns] + [exact(g)])
-    sol = solve_combination(vectors, target, ring.frame_size(d), ring.char)
-    if sol is None:
+    width = ring.frame_size(d)
+    ech = Echelon(ring.char)
+    ech.insert_all({**v, width + k: 1} for k, v in enumerate(vectors))
+    res = ech.reduce({**target, -1: 1})
+    scale = res.pop(-1)
+    if any(k < width for k in res):
         return None
-    vec, scale = sol
-    return Poly(ring, {unknowns[k]: Fraction(c, scale) for k, c in vec.items()})
+    return Poly(ring, {unknowns[k - width]: Fraction(-c, scale) for k, c in res.items()})
 
 
 def maximal_action(span: SubspaceBasis, action: str) -> Echelon:

@@ -38,6 +38,9 @@ def test_is_ag_session(capsys):
 def test_is_ag_proven_not_artin_exits_zero(capsys):
     code, out, _ = invoke(capsys, "is-ag", "--vars", "3", "x1^2+x2^3, x2^4")
     assert (code, out) == (0, "-2\n")
+    # a coefficient longer than int() reads at once is still an answer
+    code, out, _ = invoke(capsys, "is-ag", "--vars", "2", "x1^2+" + "1" * 5000 + "*x2^2")
+    assert (code, out) == (0, "-2\n")
 
 
 def test_is_ag_cap_limited_exits_inconclusive(capsys):

@@ -199,6 +199,51 @@ def test_parse_format_round_trip_1000_random(r3):
         assert parse_poly(format_poly(f), ring) == f
 
 
+@pytest.mark.parametrize("char", [0, 7])
+def test_numbers_longer_than_the_int_str_limit_parse_and_format(char):
+    # int() and str() refuse more than 4300 digits by default; a repunit and
+    # a power of 10 are coprime, so this ratio is in lowest terms
+    text = "1" * 5000 + "/1" + "0" * 4999 + "*x1"
+    num, den = (10**5000 - 1) // 9, 10**4999
+    f = parse_poly(text, Ring(2, char))
+    if char:
+        assert (f.vec, f.den) == ({1: num * pow(den, -1, char) % char}, 1)
+        assert format_poly(f) == "6*x1"
+    else:
+        assert (f.vec, f.den) == ({1: num}, den)
+        assert format_poly(f) == text
+
+
+@pytest.fixture
+def least_digit_limit():
+    """The interpreter's int/str digit limit at its least value, 640, where
+    the interpreter has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("digits", [1, 640, 641, 1280, 1281, 4301, 9001])
+def test_numbers_convert_in_pieces_under_the_least_digit_limit(digits, least_digit_limit):
+    rng = random.Random(digits)
+    texts = ["9" * digits, "1" + "0" * (digits - 1), "".join(rng.choice("123456789") for _ in range(digits))]
+    ring = Ring(1, 0)
+    for text in texts:
+        value = 0
+        for ch in text:
+            value = 10 * value + ord(ch) - ord("0")
+        f = parse_poly(text, ring)
+        assert f.vec == {0: value}
+        assert format_poly(f) == text
+        assert parse_poly("0" + text, ring) == f  # a leading zero
+
+
 # -- actions ------------------------------------------------------------------
 
 

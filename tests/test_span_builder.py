@@ -12,6 +12,8 @@ agree with the ones built from ``apply_action``.  Handles built with seeded
 caches must agree with fresh handles on the same generators.
 """
 
+from fractions import Fraction
+
 import pytest
 
 import oracle
@@ -189,11 +191,17 @@ def test_closure_and_colon_match_action_oracle(n, char):
                  if not closure.contains({ring.index_of(m): 1})),
                 None,
             )
-            targets = lowered + [lowered[0] + lowered[1]] + ([outside] if outside else [])
-            for g in targets:
-                assert colon_inv_syst(f, g, action) == oracle.colon(f, g, action), (f, g, action)
+            # a seeded multi-term h0 o f, and g = 0
+            solvable = apply_action(action, gen_pol(ring, 0, f.degree(), 3, 400 + n), f)
+            targets = lowered + [lowered[0] + lowered[1], solvable, Poly.zero(ring)]
+            cases = [(f, g) for g in targets] + [(f.scaled(Fraction(-3, 7)), g) for g in targets]
+            if outside is not None:
+                cases += [(f, outside), (f, solvable + outside)]
+            for f_, g in cases:
+                assert colon_inv_syst(f_, g, action) == oracle.colon(f_, g, action), (f_, g, action)
             if outside is not None:
                 assert colon_inv_syst(f, outside, action) is None
+                assert colon_inv_syst(f, solvable + outside, action) is None
 
 
 @pytest.mark.parametrize(
