@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Callable, NamedTuple, NoReturn, Optional
 
@@ -44,7 +45,7 @@ from .artin import (
     socle_ideal,
 )
 from .errors import DegreeCapError, InvSysError, NotArtinError, ParseError
-from .poly import CONT, DER, Poly, Ring, format_poly, gen_pol, parse_poly
+from .poly import CONT, DER, Poly, Ring, _int, _str, format_poly, gen_pol, parse_poly
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -247,7 +248,7 @@ def _run_weierstrass(args) -> int:
     from .elliptic import weierstrass_j
 
     p = weierstrass_j(args.j)
-    _emit(args, {"vars": 3, "char": 0}, None, {"poly": format_poly(p)}, {"j": str(args.j)}, [format_poly(p)])
+    _emit(args, {"vars": 3, "char": 0}, None, {"poly": format_poly(p)}, _j_diagnostics(args.j), [format_poly(p)])
     return EXIT_OK
 
 
@@ -255,7 +256,7 @@ def _run_ideal_wj(args) -> int:
     from .elliptic import ideal_wj
 
     result, lines = _generators(ideal_wj(args.j).generators)
-    _emit(args, {"vars": 3, "char": 0}, None, result, {"j": str(args.j)}, lines)
+    _emit(args, {"vars": 3, "char": 0}, None, result, _j_diagnostics(args.j), lines)
     return EXIT_OK
 
 
@@ -278,7 +279,7 @@ def _run_verify_classification(args) -> int:
         "rows": [{"label": r.label, "passed": r.passed, "checks": r.checks} for r in reports],
         "allPassed": all_passed,
     }
-    _emit(args, {"vars": 3, "char": 0}, DER, result, {"j": str(args.j)}, lines)
+    _emit(args, {"vars": 3, "char": 0}, DER, result, _j_diagnostics(args.j), lines)
     return EXIT_OK if all_passed else EXIT_PRECONDITION
 
 
@@ -346,13 +347,27 @@ _RING_FLAGS = (
 
 
 def _rational(text: str):
-    """A --j value; ``fractions`` is imported only by the commands that take one."""
+    """A --j value; ``fractions`` is imported only by the commands that take one.
+
+    [sign]digits[/digits], blanks around it allowed, is read as a coefficient
+    is, at any length; ``Fraction`` reads every other spelling.
+    """
     from fractions import Fraction
 
+    m = re.fullmatch(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*", text)
     try:
-        return Fraction(text)
+        if m is None:
+            return Fraction(text)
+        num = _int(m[2])
+        return Fraction(-num if m[1] == "-" else num, _int(m[3] or "1"))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
+def _j_diagnostics(j) -> dict:
+    """The diagnostics of a --j command: str(j) for a rational j of any size."""
+    text = ("-" if j < 0 else "") + _str(abs(j.numerator))
+    return {"j": text if j.denominator == 1 else f"{text}/{_str(j.denominator)}"}
 
 
 _J_FLAG = ("--j", dict(type=_rational, required=True, help="rational j value, e.g. 5 or 6912/31"))

@@ -15,14 +15,17 @@ unique per subspace, which makes subspace equality literal equality of the
 row maps and keeps all outputs deterministic; readers that need the reduced
 row's values divide by the pivot, as a Poly does with its ``den``.
 
-Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968).  Vectors enter
-integral over Q, and over F_p they are reduced mod p.  To cancel an entry c
-against a row with pivot entry a, ``Echelon.reduce`` divides both by
-g = gcd(a, c) and forms (a/g) * vec - (c/g) * row, so over Q it returns a
-positive multiple of the residue.  ``Echelon.insert`` back-substitutes the new
-row only into the rows that hold its pivot column, found through a column
-index (each non-pivot column mapped to the set of pivots whose rows hold it),
-and divides each row it touched by its content.
+Elimination is fraction-free (Bareiss, Math. Comp. 22, 1968), one loop for
+both fields.  Vectors enter integral over Q, and over F_p they are reduced
+mod p.  To cancel an entry c against a row with pivot entry a,
+``Echelon.reduce`` divides both by g = gcd(a, c) and forms
+(a/g) * vec - (c/g) * row, so over Q it returns a positive multiple of the
+residue.  ``Echelon.insert`` back-substitutes the new row only into the rows
+that hold its pivot column, found through a column index (each non-pivot
+column mapped to the set of pivots whose rows hold it), and divides each row
+it touched by its content.  Over F_p every pivot entry is 1, so the scaling
+and content steps never fire there, and each computed entry is reduced mod p
+before it is tested for zero.
 """
 
 from __future__ import annotations
@@ -91,31 +94,21 @@ class Echelon:
         input is complete: subtracted rows only introduce non-pivot indices.
         """
         rows, char = self._rows, self.char
-        if char:
-            out = {k: r for k, c in vec.items() if (r := c % char)}
-            for p in [p for p in out if p in rows]:
-                c = out[p]
-                for k, v in rows[p].items():
-                    s = out.get(k)
-                    s = -c * v % char if s is None else (s - c * v) % char
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-            return out
-        out = dict(vec)
+        out = {k: r for k, c in vec.items() if (r := c % char)} if char else dict(vec)
         for p in [p for p in out if p in rows]:
             c = out[p]
             row = rows[p]
             a = row[p]
-            if a != 1:
+            if a != 1:  # only over Q: an F_p row has pivot entry 1
                 g = gcd(a, c)
                 a, c = a // g, c // g
                 if a != 1:
                     out = {k: a * s for k, s in out.items()}
             for k, v in row.items():
-                s = out.get(k)
-                s = -(c * v) if s is None else s - c * v
+                # c and v are nonzero (mod p), so s vanishes only for k in out
+                s = out.get(k, 0) - c * v
+                if char:
+                    s %= char
                 if s:
                     out[k] = s
                 else:
@@ -154,21 +147,8 @@ class Echelon:
         for q in cols.pop(p, ()):
             row = rows[q]
             c = row.pop(p)
-            if char:
-                for k, v in tail:
-                    s = row.get(k)
-                    if s is None:
-                        row[k] = -c * v % char
-                        cols[k].add(q)
-                    else:
-                        s = (s - c * v) % char
-                        if s:
-                            row[k] = s
-                        else:
-                            del row[k]
-                            cols[k].discard(q)
-                continue
-            # row := (a/g) * row - (c/g) * r, for g = gcd(a, c)
+            # row := (a/g) * row - (c/g) * r, for g = gcd(a, c); over F_p
+            # a == 1 and so row is never scaled
             if a != 1:
                 g = gcd(a, c)
                 m, c = a // g, c // g
@@ -178,16 +158,19 @@ class Echelon:
             for k, v in tail:
                 s = row.get(k)
                 if s is None:
-                    row[k] = -(c * v)
+                    row[k] = -c * v % char if char else -(c * v)
                     cols[k].add(q)
                 else:
-                    s = s - c * v
+                    s -= c * v
+                    if char:
+                        s %= char
                     if s:
                         row[k] = s
                     else:
                         del row[k]
                         cols[k].discard(q)
-            # the content divides the pivot entry, as r is zero at q
+            # the content divides the pivot entry, as r is zero at q; over
+            # F_p the pivot entry stays 1 and there is nothing to divide
             if row[q] != 1:
                 g = gcd(*row.values())
                 if g != 1:
@@ -210,16 +193,16 @@ def _projected(ech: Echelon, size: int) -> Echelon:
     """The reduced echelon of the first ``size`` coordinates of ech's span.
 
     Rows with a pivot at or past ``size`` vanish there; the others keep their
-    pivots and stay mutually reduced, so no elimination is needed.  Over Q a
-    cut row is divided by its content again.
+    pivots and stay mutually reduced, so no elimination is needed.  A cut row
+    is divided by its content again, which leaves an F_p row (pivot entry 1)
+    as it is.
     """
     out = Echelon(ech.char)
-    rows = {
-        p: {k: v for k, v in row.items() if k < size}
+    out.rows = {
+        p: _primitive({k: v for k, v in row.items() if k < size})
         for p, row in ech.rows.items()
         if p < size
     }
-    out.rows = rows if ech.char else {p: _primitive(row) for p, row in rows.items()}
     return out
 
 

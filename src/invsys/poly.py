@@ -631,7 +631,7 @@ def format_poly(f: Poly) -> str:
     """
     if f.is_zero():
         return "0"
-    char, den, at = f.ring.char, f.den, f.ring.monomial_at
+    den, at = f.den, f.ring.monomial_at
     out: list[str] = []
     for k in sorted(f.vec):
         c = f.vec[k]
@@ -665,7 +665,8 @@ def _splitmix64(state: int) -> tuple[int, int]:
 
 
 def gen_pol(ring: Ring, deg_min: int, deg_max: int, bound: int, seed: int) -> Poly:
-    """Random sum of forms of degrees deg_min..deg_max, coefficients in [-bound, bound].
+    """Random sum of forms of degrees deg_min..deg_max, coefficients in
+    [-bound, bound] for 0 <= bound < 2^63.
 
     Every monomial of every degree in the range independently receives a
     uniform integer coefficient (zero included).  Fully determined by the
@@ -679,6 +680,8 @@ def gen_pol(ring: Ring, deg_min: int, deg_max: int, bound: int, seed: int) -> Po
         )
     if bound < 0:
         raise ValueError("coefficient bound must be >= 0")
+    if bound >= 2**63:  # 2*bound+1 values would not fit in one 64-bit draw
+        raise ValueError("coefficient bound must be below 2^63")
     if bound == 0:
         return Poly.zero(ring)
     state = seed & _MASK64

@@ -162,6 +162,25 @@ def test_negative_rational_flag_value(capsys):
     assert invoke(capsys, "ideal-wj", "--j=-25/3") == (0, out, "")
 
 
+def test_rational_flag_spellings(capsys):
+    # blanks and decimals read as they always have
+    assert invoke(capsys, "weierstrass-j", "--j=1.5") == (
+        0, "3453/2*x1^3-3453/2*x1*x2*x3+36*x1*x3^2-3453/2*x2^2*x3+x3^3\n", "")
+    assert invoke(capsys, "weierstrass-j", "--j= 7/3 ") == (
+        0, "5177/3*x1^3-5177/3*x1*x2*x3+36*x1*x3^2-5177/3*x2^2*x3+x3^3\n", "")
+
+
+def test_rational_flag_of_any_length(capsys):
+    # j = 1...1 (5000 ones), past the int/str conversion limit: t = j - 1728
+    # borrows from the fifth digit from the right
+    j = "1" * 5000
+    t = "1" * 4995 + "09383"
+    assert invoke(capsys, "weierstrass-j", f"--j={j}") == (
+        0, f"-{t}*x1^3+{t}*x1*x2*x3+36*x1*x3^2+{t}*x2^2*x3+x3^3\n", "")
+    code, out, _ = invoke(capsys, "weierstrass-j", f"--j=-{j}/7", "--format", "json")
+    assert code == 0 and json.loads(out)["diagnostics"] == {"j": f"-{j}/7"}
+
+
 def test_usage_errors_with_leading_minus_operand(capsys):
     code, _, err = invoke(capsys, "ideal-ann", "-x1^5-3*x1^4*x3")
     assert code == 1
@@ -253,6 +272,15 @@ def test_gen_pol_deterministic_output(capsys):
     first = invoke(capsys, *args)
     second = invoke(capsys, *args)
     assert first == second and first[0] == 0
+
+
+def test_gen_pol_bound_below_2_63(capsys):
+    # 2^63 would need more than one 64-bit draw per coefficient
+    args = ("gen-pol", "--vars", "1", "--deg-min", "0", "--deg-max", "0", "--seed", "1")
+    assert invoke(capsys, *args, "--bound", str(2**63)) == (
+        3, "", "error: coefficient bound must be below 2^63\n")
+    code, out, _ = invoke(capsys, *args, "--bound", str(2**63 - 1))
+    assert code == 0 and abs(int(out)) < 2**63
 
 
 def test_json_output_byte_identical(capsys):

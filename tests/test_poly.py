@@ -426,6 +426,14 @@ def test_gen_pol_invalid_range(r3):
         gen_pol(r3, 0, 1, -1, 0)
 
 
+def test_gen_pol_bound_below_2_63(r3):
+    # 2*bound+1 values fit in one 64-bit draw only below 2^63
+    with pytest.raises(ValueError, match=r"below 2\^63"):
+        gen_pol(r3, 0, 1, 2**63, 0)
+    f = gen_pol(r3, 0, 1, 2**63 - 1, 0)
+    assert all(abs(c) < 2**63 for c in f.terms.values())
+
+
 # -- misc value semantics -----------------------------------------------------
 
 
