@@ -13,10 +13,15 @@ or a module frame exceeds it).  Output that cannot be written also exits 3
 with one "error:" line, except a closed pipe: that ends the process by
 SIGPIPE, as it ends other Unix filters.
 
-Start-up: only the chosen subcommand is registered, the duality module is
-imported only by the commands that use it, ``fractions`` only to read a
-``--j`` value, and ``main()`` flushes the output and ends the process with
-``os._exit``, skipping interpreter teardown.
+One table, ``_COMMANDS``, holds a row for each of the eighteen subcommands:
+its operands, flags, ring, library call, output shape and diagnostics.  One
+handler, ``_run_command``, runs every row, and the parser is read off the
+table.
+
+Start-up: only the chosen subcommand is registered, the duality, elliptic
+and fixtures modules are imported only by the commands that use them,
+``fractions`` only to read a ``--j`` value, and ``main()`` flushes the
+output and ends the process with ``os._exit``, skipping interpreter teardown.
 In-process callers use ``run()``, which returns the exit code.
 
 Generator input arguments are resolved in order: "-" reads stdin, an
@@ -110,10 +115,23 @@ def _parse_gens(arg: str, ring: Ring) -> list[Poly]:
 
 
 def _duality():
-    """The duality module, imported by the commands that use it only."""
+    """The duality module; it, elliptic and fixtures are imported only by the
+    commands that use them."""
     from . import duality
 
     return duality
+
+
+def _elliptic():
+    from . import elliptic
+
+    return elliptic
+
+
+def _fixtures():
+    from . import fixtures
+
+    return fixtures
 
 
 def _module(ring: Ring, gens: list[Poly]):
@@ -135,8 +153,32 @@ def _make_ring(args) -> Ring:
     return Ring(args.vars, args.char, default_action=action, max_degree_cap=args.max_degree)
 
 
+def _table_ring(args) -> Ring:
+    """Q[x1, x2, x3], the cubic table's one ring, in which the --j commands answer."""
+    return _elliptic()._RING
+
+
+def _rational(text: str):
+    """A --j value; ``fractions`` is imported only by the commands that take one.
+
+    [sign]digits[/digits], blanks around it allowed, is read as a coefficient
+    is, at any length; ``Fraction`` reads every other spelling.
+    """
+    from fractions import Fraction
+
+    m = re.fullmatch(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*", text)
+    try:
+        if m is None:
+            return Fraction(text)
+        num = _int(m[2])
+        return Fraction(-num if m[1] == "-" else num, _int(m[3] or "1"))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 # ---------------------------------------------------------------------------
-# output handling: each shape maps an answer to (JSON result, text lines)
+# output handling: each shape maps an answer to (JSON result, text lines),
+# each diagnostics function (args, operands, answer) to the JSON diagnostics
 # ---------------------------------------------------------------------------
 
 
@@ -168,8 +210,28 @@ def _artin_diagnostics(ideal: IdealHandle) -> dict:
     }
 
 
+def _input_artin(args, operands, answer) -> dict:
+    return _artin_diagnostics(operands[0])
+
+
+def _answer_artin(args, operands, answer) -> dict:
+    return _artin_diagnostics(answer)
+
+
+def _j_diagnostics(args, *_) -> dict:
+    """str(j) for a rational --j of any size."""
+    j = args.j
+    text = ("-" if j < 0 else "") + _str(abs(j.numerator))
+    return {"j": text if j.denominator == 1 else f"{text}/{_str(j.denominator)}"}
+
+
 def _verdict(value) -> tuple:
     return int(value), [str(int(value))]
+
+
+def _polynomial(p: Poly) -> tuple:
+    text = format_poly(p)
+    return {"poly": text}, [text]
 
 
 def _generators(gens: list[Poly]) -> tuple:
@@ -186,155 +248,28 @@ def _colon_answer(h: Optional[Poly]) -> tuple:
     return {"exists": h is not None, "poly": text}, [text]
 
 
-# ---------------------------------------------------------------------------
-# command handlers: one for every ring command, one for each other command
-# ---------------------------------------------------------------------------
-
-
-class _Row(NamedTuple):
-    """A ring command.  ``call`` is a lambda so that it looks up its names
-    when it runs: bench/layertrace.py patches module-level names, cli's and
-    those of the duality module, which only the commands on modules and
-    ``inv-syst`` import."""
-
-    help: str
-    operands: tuple  # one kind per operand: IdealHandle, _module or _single
-    call: Callable
-    shape: Callable
-    action: bool = False  # the JSON "action" is the ring's default action, else null
-    artin: str = ""  # diagnostics on the Artinianity of the "input" ideal or of the "answer"
-    minus_one: bool = False  # prints -1 on a non-Artinian input before run() reports it
-
-
-def _run_ring_command(args) -> int:
-    row = _RING_COMMANDS[args.command]
-    ring = _make_ring(args)
-    texts = [getattr(args, name) for name in _operand_names(len(row.operands))]
-    operands = [kind(ring, _parse_gens(text, ring)) for kind, text in zip(row.operands, texts)]
-    ring_desc = {"vars": ring.nvars, "char": ring.char}
-    action = ring.default_action if row.action else None
-    try:
-        answer = row.call(*operands)
-    except NotArtinError:
-        if row.minus_one:
-            # classical convention; run() reports the error and picks the exit code
-            _emit(args, ring_desc, action, -1, _artin_diagnostics(operands[0]), ["-1"])
-        raise
-    diagnostics = {}
-    if row.artin:
-        diagnostics = _artin_diagnostics(answer if row.artin == "answer" else operands[0])
-    result, lines = row.shape(answer)
-    _emit(args, ring_desc, action, result, diagnostics, lines)
-    # only a classifier returns on a cap-limited input; the other commands raise
-    if diagnostics and not diagnostics["artin"] and not diagnostics["proven"]:
-        cap = diagnostics["cap"]
-        print(f"warning: not Artinian within degree cap {cap}; verdict inconclusive", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
-
-
-def _run_gen_pol(args) -> int:
-    ring = _make_ring(args)
-    text = format_poly(gen_pol(ring, args.deg_min, args.deg_max, args.bound, args.seed))
-    _emit(args, {"vars": ring.nvars, "char": ring.char}, None, {"poly": text}, {"seed": args.seed}, [text])
-    return EXIT_OK
-
-
-# the elliptic and fixtures modules are imported by the four handlers that use
-# them, so the other commands do not load them
-
-
-def _run_weierstrass(args) -> int:
-    from .elliptic import weierstrass_j
-
-    p = weierstrass_j(args.j)
-    _emit(args, {"vars": 3, "char": 0}, None, {"poly": format_poly(p)}, _j_diagnostics(args.j), [format_poly(p)])
-    return EXIT_OK
-
-
-def _run_ideal_wj(args) -> int:
-    from .elliptic import ideal_wj
-
-    result, lines = _generators(ideal_wj(args.j).generators)
-    _emit(args, {"vars": 3, "char": 0}, None, result, _j_diagnostics(args.j), lines)
-    return EXIT_OK
-
-
-def _run_verify_classification(args) -> int:
-    from .elliptic import classification_table, verify_row
-
-    rows = classification_table(args.j)
-    reports = [verify_row(row) for row in rows]
+def _table_rows(reports) -> tuple:
     lines = []
     for k, rep in enumerate(reports):
-        verdict = "PASS" if rep.passed else "FAIL"
-        lines.append(f"row {k + 1} ({rep.label}): {verdict}")
-        if not rep.passed:
-            for name, ok in rep.checks.items():
-                if not ok:
-                    lines.append(f"  failed check: {name}")
-    all_passed = all(r.passed for r in reports)
+        lines.append(f"row {k + 1} ({rep.label}): {'PASS' if rep.passed else 'FAIL'}")
+        lines += [f"  failed check: {name}" for name, ok in rep.checks.items() if not ok]
     lines.append(f"{sum(r.passed for r in reports)}/{len(reports)} rows verified")
-    result = {
-        "rows": [{"label": r.label, "passed": r.passed, "checks": r.checks} for r in reports],
-        "allPassed": all_passed,
-    }
-    _emit(args, {"vars": 3, "char": 0}, DER, result, _j_diagnostics(args.j), lines)
-    return EXIT_OK if all_passed else EXIT_PRECONDITION
+    rows = [{"label": r.label, "passed": r.passed, "checks": r.checks} for r in reports]
+    return {"rows": rows, "allPassed": all(r.passed for r in reports)}, lines
 
 
-def _run_replay(args) -> int:
-    from .fixtures import replay
-
-    results = replay(args.dir)
-    lines = []
-    for item in results:
-        verdict = "PASS" if item["passed"] else "FAIL"
-        lines.append(f"{item['fixture']} :: {item['name']}: {verdict}")
-    passed = sum(1 for item in results if item["passed"])
-    all_passed = passed == len(results)
+def _fixture_checks(results: list[dict]) -> tuple:
+    lines = [f"{c['fixture']} :: {c['name']}: {'PASS' if c['passed'] else 'FAIL'}" for c in results]
+    passed = sum(c["passed"] for c in results)
     lines.append(f"{passed}/{len(results)} fixture checks passed")
-    result = {"checks": results, "allPassed": all_passed}
-    _emit(args, None, None, result, {}, lines)
-    return EXIT_OK if all_passed else EXIT_PRECONDITION
+    return {"checks": results, "allPassed": passed == len(results)}, lines
 
 
 # ---------------------------------------------------------------------------
-# the command table; the parser is read off it
+# the command table, its one handler, and the parser read off it
 # ---------------------------------------------------------------------------
 
-_RING_COMMANDS = {
-    "is-ag": _Row("-2 not Artin / -1 not Gorenstein / socle degree",
-                  (IdealHandle,), lambda i: is_ag(i), _verdict, artin="input"),
-    "is-level": _Row("-2 not Artin / -1 not level / socle degree",
-                     (IdealHandle,), lambda i: is_level(i), _verdict, artin="input"),
-    "cm-type": _Row("Cohen-Macaulay type, -1 if not Artin",
-                    (IdealHandle,), lambda i: cm_type(i), _verdict, artin="input"),
-    "socle": _Row("minimal generators of the colon ideal (I : m)",
-                  (IdealHandle,), lambda i: socle_ideal(i), _generators, artin="input", minus_one=True),
-    "hilbert": _Row("Hilbert function of R/I",
-                    (IdealHandle,), lambda i: hilbert(i), _values, artin="input"),
-    "inv-syst": _Row("minimal generators of the inverse system of an Artin ideal",
-                     (IdealHandle,), lambda i: _duality().inv_syst(i).generators, _generators,
-                     action=True, artin="input"),
-    "ideal-ann": _Row("minimal generators of the annihilator ideal of a submodule of S",
-                      (_module,), lambda m: _duality().ideal_ann(m), lambda ann: _generators(ann.generators),
-                      action=True, artin="answer"),
-    "min-gens-ih": _Row("minimal generators of a submodule of S",
-                        (_module,), lambda m: _duality().min_gens_ih(m), _generators, action=True),
-    "eq-ideal": _Row("1 if the two Artin ideals are equal, else 0",
-                     (IdealHandle, IdealHandle), lambda a, b: eq_ideal(a, b), _verdict),
-    "member-ih": _Row("1 if the polynomial (first input) lies in the submodule (second input)",
-                      (_single, _module), lambda g, m: _duality().member_ih(g, m), _verdict, action=True),
-    "sub-mod-ih": _Row("1 if the first submodule is contained in the second", (_module, _module),
-                       lambda a, b: _duality().sub_mod_ih(a, b), _verdict, action=True),
-    "eq-mod-ih": _Row("1 if the two submodules are equal, else 0",
-                      (_module, _module), lambda a, b: _duality().eq_mod_ih(a, b), _verdict, action=True),
-    "colon": _Row("h with h o f = g for single polynomials f, g; prints 0 if none",
-                  (_single, _single), lambda f, g: _duality().colon_inv_syst(f, g), _colon_answer, action=True),
-}
-
-_FORMAT_FLAG = ("--format", dict(choices=["text", "json"], default="text"))
+_FORMAT_FLAG = ("--format", dict(choices=["text", "json"], default="text", help="output mode (default text)"))
 _RING_FLAGS = (
     ("--vars", dict(type=int, required=True, help="number of variables")),
     ("--char", dict(type=int, default=0, help="characteristic (0 or prime)")),
@@ -342,55 +277,106 @@ _RING_FLAGS = (
                       help="module action (default: der in char 0, cont in char p)")),
     ("--max-degree", dict(type=int, default=64,
                           help="degree cap for Artinianity searches and module frames (default 64)")),
-    ("--format", dict(choices=["text", "json"], default="text", help="output mode (default text)")),
+    _FORMAT_FLAG,
 )
+_J_FLAGS = (("--j", dict(type=_rational, required=True, help="rational j value, e.g. 5 or 6912/31")), _FORMAT_FLAG)
 
 
-def _rational(text: str):
-    """A --j value; ``fractions`` is imported only by the commands that take one.
+class _Row(NamedTuple):
+    """A subcommand.  ``call`` is a lambda so that it looks up its names
+    when it runs: bench/layertrace.py patches module-level names, cli's and
+    those of the duality, elliptic and fixtures modules, which only the
+    commands that use them import."""
 
-    [sign]digits[/digits], blanks around it allowed, is read as a coefficient
-    is, at any length; ``Fraction`` reads every other spelling.
-    """
-    from fractions import Fraction
+    help: str
+    operands: tuple  # one kind per operand: IdealHandle, _module or _single
+    call: Callable  # (args, *operands) -> answer
+    shape: Callable
+    flags: tuple = _RING_FLAGS
+    ring: Callable = _make_ring  # args -> the Ring of the operands and of the JSON "ring", or None
+    action: bool = False  # the JSON "action" is the ring's default action, else null
+    diagnostics: Callable = lambda *_: {}
+    minus_one: bool = False  # prints -1 on a non-Artinian input before run() reports it
+    verifies: bool = False  # exits 3 unless the result's "allPassed" holds
 
-    m = re.fullmatch(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*", text)
+
+def _run_command(args) -> int:
+    row = _COMMANDS[args.command]
+    ring = row.ring(args)
+    texts = [getattr(args, name) for name in _operand_names(len(row.operands))]
+    operands = [kind(ring, _parse_gens(text, ring)) for kind, text in zip(row.operands, texts)]
+    ring_desc = {"vars": ring.nvars, "char": ring.char} if ring is not None else None
+    action = ring.default_action if row.action else None
     try:
-        if m is None:
-            return Fraction(text)
-        num = _int(m[2])
-        return Fraction(-num if m[1] == "-" else num, _int(m[3] or "1"))
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+        answer = row.call(args, *operands)
+    except NotArtinError:
+        if row.minus_one:
+            # classical convention; run() reports the error and picks the exit code
+            _emit(args, ring_desc, action, -1, row.diagnostics(args, operands, None), ["-1"])
+        raise
+    diagnostics = row.diagnostics(args, operands, answer)
+    result, lines = row.shape(answer)
+    _emit(args, ring_desc, action, result, diagnostics, lines)
+    # only a classifier returns on an input not Artinian within the cap; other commands raise
+    if not diagnostics.get("proven", True):
+        cap = diagnostics["cap"]
+        print(f"warning: not Artinian within degree cap {cap}; verdict inconclusive", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    return EXIT_PRECONDITION if row.verifies and not result["allPassed"] else EXIT_OK
 
 
-def _j_diagnostics(j) -> dict:
-    """The diagnostics of a --j command: str(j) for a rational j of any size."""
-    text = ("-" if j < 0 else "") + _str(abs(j.numerator))
-    return {"j": text if j.denominator == 1 else f"{text}/{_str(j.denominator)}"}
-
-
-_J_FLAG = ("--j", dict(type=_rational, required=True, help="rational j value, e.g. 5 or 6912/31"))
-# name -> (help, handler, flags); these take no generator operands
-_OTHER_COMMANDS = {
-    "gen-pol": ("reproducible random polynomial", _run_gen_pol, _RING_FLAGS + (
-        ("--deg-min", dict(type=int, required=True)),
-        ("--deg-max", dict(type=int, required=True)),
-        ("--bound", dict(type=int, required=True, help="coefficients drawn from [-bound, bound]")),
-        ("--seed", dict(type=int, default=0)),
-    )),
-    "weierstrass-j": ("cubic with the given j moduli", _run_weierstrass, (_J_FLAG, _FORMAT_FLAG)),
-    "ideal-wj": (
-        "quadric ideal whose inverse system is the j-moduli cubic", _run_ideal_wj, (_J_FLAG, _FORMAT_FLAG)
-    ),
-    "verify-classification": ("machine-check the eight {1,3,3,1} table rows", _run_verify_classification, (
-        ("--j", dict(type=_rational, default="2", help="modulus for the generic elliptic row")),
-        _FORMAT_FLAG,
-    )),
-    "replay-fixtures": ("re-run the recorded session fixtures", _run_replay, (
-        ("--dir", dict(help="fixture directory (default: the shipped fixtures)")),
-        _FORMAT_FLAG,
-    )),
+_COMMANDS = {
+    "is-ag": _Row("-2 not Artin / -1 not Gorenstein / socle degree",
+                  (IdealHandle,), lambda args, i: is_ag(i), _verdict, diagnostics=_input_artin),
+    "is-level": _Row("-2 not Artin / -1 not level / socle degree",
+                     (IdealHandle,), lambda args, i: is_level(i), _verdict, diagnostics=_input_artin),
+    "cm-type": _Row("Cohen-Macaulay type, -1 if not Artin",
+                    (IdealHandle,), lambda args, i: cm_type(i), _verdict, diagnostics=_input_artin),
+    "socle": _Row("minimal generators of the colon ideal (I : m)",
+                  (IdealHandle,), lambda args, i: socle_ideal(i), _generators, diagnostics=_input_artin,
+                  minus_one=True),
+    "hilbert": _Row("Hilbert function of R/I",
+                    (IdealHandle,), lambda args, i: hilbert(i), _values, diagnostics=_input_artin),
+    "inv-syst": _Row("minimal generators of the inverse system of an Artin ideal",
+                     (IdealHandle,), lambda args, i: _duality().inv_syst(i).generators, _generators,
+                     action=True, diagnostics=_input_artin),
+    "ideal-ann": _Row("minimal generators of the annihilator ideal of a submodule of S",
+                      (_module,), lambda args, m: _duality().ideal_ann(m), lambda ann: _generators(ann.generators),
+                      action=True, diagnostics=_answer_artin),
+    "min-gens-ih": _Row("minimal generators of a submodule of S",
+                        (_module,), lambda args, m: _duality().min_gens_ih(m), _generators, action=True),
+    "eq-ideal": _Row("1 if the two Artin ideals are equal, else 0",
+                     (IdealHandle, IdealHandle), lambda args, a, b: eq_ideal(a, b), _verdict),
+    "member-ih": _Row("1 if the polynomial (first input) lies in the submodule (second input)",
+                      (_single, _module), lambda args, g, m: _duality().member_ih(g, m), _verdict, action=True),
+    "sub-mod-ih": _Row("1 if the first submodule is contained in the second", (_module, _module),
+                       lambda args, a, b: _duality().sub_mod_ih(a, b), _verdict, action=True),
+    "eq-mod-ih": _Row("1 if the two submodules are equal, else 0", (_module, _module),
+                      lambda args, a, b: _duality().eq_mod_ih(a, b), _verdict, action=True),
+    "colon": _Row("h with h o f = g for single polynomials f, g; prints 0 if none", (_single, _single),
+                  lambda args, f, g: _duality().colon_inv_syst(f, g), _colon_answer, action=True),
+    "gen-pol": _Row("reproducible random polynomial", (),
+                    lambda args: gen_pol(_make_ring(args), args.deg_min, args.deg_max, args.bound, args.seed),
+                    _polynomial, flags=_RING_FLAGS + (
+                        ("--deg-min", dict(type=int, required=True)),
+                        ("--deg-max", dict(type=int, required=True)),
+                        ("--bound", dict(type=int, required=True, help="coefficients drawn from [-bound, bound]")),
+                        ("--seed", dict(type=int, default=0)),
+                    ), diagnostics=lambda args, *_: {"seed": args.seed}),
+    "weierstrass-j": _Row("cubic with the given j moduli", (), lambda args: _elliptic().weierstrass_j(args.j),
+                          _polynomial, flags=_J_FLAGS, ring=_table_ring, diagnostics=_j_diagnostics),
+    "ideal-wj": _Row("quadric ideal whose inverse system is the j-moduli cubic", (),
+                     lambda args: _elliptic().ideal_wj(args.j).generators, _generators,
+                     flags=_J_FLAGS, ring=_table_ring, diagnostics=_j_diagnostics),
+    "verify-classification": _Row(
+        "machine-check the eight {1,3,3,1} table rows", (),
+        lambda args: [_elliptic().verify_row(row) for row in _elliptic().classification_table(args.j)], _table_rows,
+        flags=(("--j", dict(type=_rational, default="2", help="modulus for the generic elliptic row")), _FORMAT_FLAG),
+        ring=_table_ring, action=True, diagnostics=_j_diagnostics, verifies=True),
+    "replay-fixtures": _Row(
+        "re-run the recorded session fixtures", (), lambda args: _fixtures().replay(args.dir), _fixture_checks,
+        flags=(("--dir", dict(help="fixture directory (default: the shipped fixtures)")), _FORMAT_FLAG),
+        ring=lambda args: None, verifies=True),
 }
 
 
@@ -403,20 +389,16 @@ def _build_parser(chosen: Optional[str] = None) -> _Parser:
     the full tree.
     """
     parser = _Parser(prog="invsys", description=__doc__.splitlines()[0])
-    commands = [(name, row.help, _run_ring_command, len(row.operands), _RING_FLAGS)
-                for name, row in _RING_COMMANDS.items()]
-    commands += [(name, text, handler, 0, flags) for name, (text, handler, flags) in _OTHER_COMMANDS.items()]
-    known = chosen in _RING_COMMANDS or chosen in _OTHER_COMMANDS
-    metavar = "{" + ",".join(name for name, *_ in commands) + "}" if known else None
+    known = chosen in _COMMANDS
+    metavar = "{" + ",".join(_COMMANDS) + "}" if known else None
     subs = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, handler, operands, flags in commands:
+    for name, row in _COMMANDS.items():
         if known and name != chosen:
             continue
-        sub = subs.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler)
-        for operand in _operand_names(operands):
+        sub = subs.add_parser(name, help=row.help)
+        for operand in _operand_names(len(row.operands)):
             sub.add_argument(operand, help="generators: inline text, a file path, or - for stdin")
-        for flag, options in flags:
+        for flag, options in row.flags:
             sub.add_argument(flag, **options)
     return parser
 
@@ -430,7 +412,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.handler(args)
+        return _run_command(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

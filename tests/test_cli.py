@@ -505,10 +505,37 @@ def test_verify_classification_json(capsys):
     assert len(doc["result"]["rows"]) == 8
 
 
+def test_verify_classification_reports_a_failed_row(capsys, monkeypatch):
+    # a row whose cubic is not the inverse system of its model ideal
+    from invsys import elliptic
+
+    ring = Ring(3, 0)
+    row = elliptic.ClassificationRow(
+        "Three independent lines", [parse_poly(t, ring) for t in ("x1^2", "x2^2", "x3^2")], parse_poly("x1^3", ring))
+    monkeypatch.setattr(elliptic, "classification_table", lambda j: [row])
+    assert invoke(capsys, "verify-classification") == (3, (
+        "row 1 (Three independent lines): FAIL\n"
+        "  failed check: annihilator_equals_model\n"
+        "0/1 rows verified\n"), "")
+    code, out, _ = invoke(capsys, "verify-classification", "--format", "json")
+    result = json.loads(out)["result"]
+    assert code == 3 and result["allPassed"] is False
+    assert result["rows"] == [{"label": "Three independent lines", "passed": False, "checks": {
+        "annihilator_equals_model": False, "hilbert_1331": True, "gorenstein_socle_3": True}}]
+
+
 def test_replay_fixtures(capsys):
     code, out, _ = invoke(capsys, "replay-fixtures")
     assert code == 0
     assert "15/15 fixture checks passed" in out
+
+
+def test_replay_fixtures_reports_a_failed_check(capsys, tmp_path):
+    check = {"kind": "is_ag", "name": "complete intersection", "ideal": ["x(1)^2", "x(2)^2", "x(3)^2"], "expect": 2}
+    (tmp_path / "wrong.json").write_text(json.dumps({"checks": [check]}), encoding="utf-8")
+    assert invoke(capsys, "replay-fixtures", "--dir", str(tmp_path)) == (3, (
+        "wrong.json :: complete intersection: FAIL\n"
+        "0/1 fixture checks passed\n"), "")
 
 
 def test_replay_fixtures_missing_dir(capsys, tmp_path):
@@ -521,6 +548,19 @@ def test_replay_fixtures_missing_dir(capsys, tmp_path):
     (tmp_path / "bogus.json").write_text(json.dumps({"checks": [check]}), encoding="utf-8")
     assert invoke(capsys, "replay-fixtures", "--dir", str(tmp_path)) == (
         3, "", "error: unknown fixture check kind 'bogus'\n")
+    # malformed fixtures: one error line naming the file, exit 3
+    malformed = [
+        ({"checks": [{"kind": "is_ag", "name": "x"}]},
+         "check 'x' needs 'ideal', a list of polynomial texts"),
+        ([1, 2], "the document must be a JSON object"),
+        ({"ring": {"vars": 3, "char": 0}}, "'checks' must be a list of objects with a string 'kind' and 'name'"),
+    ]
+    for k, (doc, message) in enumerate(malformed):
+        directory = tmp_path / f"malformed{k}"
+        directory.mkdir()
+        (directory / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert invoke(capsys, "replay-fixtures", "--dir", str(directory)) == (
+            3, "", f"error: fixture bad.json: {message}\n")
 
 
 def _child_env():
@@ -554,10 +594,13 @@ def test_cli_import_loads_no_elliptic_fixtures_or_dataclasses():
     # fractions and the decimal and numbers modules it pulls in, unless the
     # interpreter had them already; and never loads json.  The second
     # command parses and prints a proper fraction over Q.  Only a command
-    # on modules loads the duality module.
+    # on modules loads the duality module.  gen-pol, which takes flags only,
+    # loads neither.
     cases = [
         (["hilbert", "--vars", "3", "x1^2,x2^2,x3^2"], ["1,3,3,1"], False),
         (["ideal-ann", "--vars", "2", "3/4*x1^2+x2^2"], ["g[1]=x1*x2", "g[2]=x1^2-3/4*x2^2"], True),
+        (["gen-pol", "--vars", "2", "--deg-min", "1", "--deg-max", "2", "--bound", "3", "--seed", "4"],
+         ["3*x1+x2+3*x1^2-2*x1*x2+3*x2^2"], False),
     ]
     for argv, answer, dual in cases:
         imported, lines, loaded, has_json = _loaded_by(argv)
