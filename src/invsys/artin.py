@@ -53,7 +53,7 @@ from __future__ import annotations
 import threading
 from typing import NamedTuple, Optional
 
-from .errors import DegreeCapError, NotArtinError
+from .errors import NotArtinError
 from .linalg import (
     Echelon,
     SubspaceBasis,
@@ -190,10 +190,7 @@ def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
 
 def truncation_span(ideal: IdealHandle, bound: int) -> SubspaceBasis:
     """Image of the ideal in R/m^(bound+1), as a subspace of the <=bound frame."""
-    if bound > ideal.ring.max_degree_cap:
-        raise DegreeCapError(
-            f"bound {bound} exceeds degree cap {ideal.ring.max_degree_cap}"
-        )
+    ideal.ring.check_degree(bound, "bound")
     return SubspaceBasis(ideal.ring, bound, ideal._span_echelon(bound))
 
 
@@ -212,8 +209,7 @@ def contains_power_of_maximal(ideal: IdealHandle, d: int) -> bool:
     entries), that is iff the codimensions at d and d - 1 agree.  By the
     Nakayama consequence above this decides m^d <= I exactly.
     """
-    if d > ideal.ring.max_degree_cap:
-        raise DegreeCapError(f"degree {d} exceeds cap {ideal.ring.max_degree_cap}")
+    ideal.ring.check_degree(d)
     return d >= 1 and _codim(ideal, d) == _codim(ideal, d - 1)
 
 

@@ -50,7 +50,7 @@ from .artin import (
     socle_ideal,
 )
 from .errors import DegreeCapError, InvSysError, NotArtinError, ParseError
-from .poly import CONT, DER, Poly, Ring, _int, _str, format_poly, gen_pol, parse_poly
+from .poly import _LIMIT, CONT, DER, Poly, Ring, _int, _str, format_poly, gen_pol, parse_poly
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -158,22 +158,25 @@ def _table_ring(args) -> Ring:
     return _elliptic()._RING
 
 
-def _rational(text: str):
-    """A --j value; ``fractions`` is imported only by the commands that take one.
-
-    [sign]digits[/digits], blanks around it allowed, is read as a coefficient
-    is, at any length; ``Fraction`` reads every other spelling.
-    """
-    from fractions import Fraction
-
+def _exact(text: str, kind: Callable):
+    """kind(text) for kind int or Fraction, except that [sign]digits, or
+    [sign]digits/digits for a Fraction, blanks around it allowed, is read as
+    a coefficient is, at any length."""
     m = re.fullmatch(r"\s*([-+]?)(\d+)(?:/(\d+))?\s*", text)
     try:
-        if m is None:
-            return Fraction(text)
-        num = _int(m[2])
-        return Fraction(-num if m[1] == "-" else num, _int(m[3] or "1"))
+        if m is None or m[3] and kind is int:
+            return kind(text)
+        num = kind(-_int(m[2]) if m[1] == "-" else _int(m[2]))
+        return num / _int(m[3]) if m[3] else num
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
+def _rational(text: str):
+    """A --j value; ``fractions`` is imported only by the commands that take one."""
+    from fractions import Fraction
+
+    return _exact(text, Fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +221,14 @@ def _answer_artin(args, operands, answer) -> dict:
     return _artin_diagnostics(answer)
 
 
+def _text(x) -> str:
+    """str(x) for an int or Fraction x of any size."""
+    text = ("-" if x < 0 else "") + _str(abs(x.numerator))
+    return text if x.denominator == 1 else f"{text}/{_str(x.denominator)}"
+
+
 def _j_diagnostics(args, *_) -> dict:
-    """str(j) for a rational --j of any size."""
-    j = args.j
-    text = ("-" if j < 0 else "") + _str(abs(j.numerator))
-    return {"j": text if j.denominator == 1 else f"{text}/{_str(j.denominator)}"}
+    return {"j": _text(args.j)}
 
 
 def _verdict(value) -> tuple:
@@ -361,8 +367,9 @@ _COMMANDS = {
                         ("--deg-min", dict(type=int, required=True)),
                         ("--deg-max", dict(type=int, required=True)),
                         ("--bound", dict(type=int, required=True, help="coefficients drawn from [-bound, bound]")),
-                        ("--seed", dict(type=int, default=0)),
-                    ), diagnostics=lambda args, *_: {"seed": args.seed}),
+                        ("--seed", dict(type=lambda text: _exact(text, int), default=0)),
+                    ), diagnostics=lambda args, *_: {  # text past what every int/str limit prints
+                        "seed": args.seed if abs(args.seed) < _LIMIT else _text(args.seed)}),
     "weierstrass-j": _Row("cubic with the given j moduli", (), lambda args: _elliptic().weierstrass_j(args.j),
                           _polynomial, flags=_J_FLAGS, ring=_table_ring, diagnostics=_j_diagnostics),
     "ideal-wj": _Row("quadric ideal whose inverse system is the j-moduli cubic", (),

@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .artin import IdealHandle, maximal_action, minimal_ideal, require_artin, truncation_span
-from .errors import DegreeCapError, VerificationError
+from .errors import VerificationError
 from .linalg import Echelon, SubspaceBasis, Vector, perp_space
 from .poly import (
     CONT, DER, Poly, Ring, _from_ratios, _lowered, apply_action, check_action, format_poly, sigma, top_form
@@ -91,8 +91,7 @@ class SubmoduleHandle:
         the top generator degree (0 for the zero module)."""
         if self._closure is None:
             ring, bound = self.ring, self.degree_bound
-            if bound > ring.max_degree_cap:
-                raise DegreeCapError(f"module degree {bound} exceeds degree cap {ring.max_degree_cap}")
+            ring.check_degree(bound, "module degree")
             ech = Echelon(ring.char)
             for g in self.generators:
                 orbit = _orbit(ring, g.vec, g.degree(), self.action)
@@ -220,8 +219,7 @@ def colon_inv_syst(f: Poly, g: Poly, action: Optional[str] = None) -> Optional[P
     if g.ring != ring:
         raise ValueError("polynomials from different rings")
     d = f.degree()
-    if d > ring.max_degree_cap:
-        raise DegreeCapError(f"module degree {d} exceeds degree cap {ring.max_degree_cap}")
+    ring.check_degree(d, "module degree")
     if g.degree() > d:
         return None
     big_f, big_g = (sigma(f), sigma(g)) if action == DER else (f, g)

@@ -17,6 +17,7 @@ from typing import Optional
 from ..artin import IdealHandle, cm_type, eq_ideal, is_ag, socle_ideal
 from ..duality import SubmoduleHandle, eq_mod_ih, ideal_ann, inv_syst
 from ..elliptic import classification_table, verify_row
+from ..errors import InvSysError
 from ..poly import Ring, parse_poly
 
 
@@ -32,7 +33,10 @@ def _load_all(directory: str) -> list[tuple[str, dict]]:
     for name in sorted(os.listdir(directory)):
         if name.endswith(".json"):
             with open(os.path.join(directory, name), "r", encoding="utf-8") as fh:
-                out.append((name, json.load(fh)))
+                try:
+                    out.append((name, json.load(fh)))
+                except ValueError as exc:
+                    raise ValueError(f"fixture {name}: {exc}") from None
     if not out:
         raise FileNotFoundError(f"no fixture files in {directory}")
     return out
@@ -92,14 +96,15 @@ def _run_check(fname: str, check: dict, ring: Ring, action: str) -> bool:
     if kind == "classification_table":
         rows = classification_table(field("j"))
         return all(verify_row(row).passed for row in rows)
-    raise ValueError(f"unknown fixture check kind {kind!r}")
+    raise ValueError(f"fixture {fname}: unknown fixture check kind {kind!r}")
 
 
 def replay(directory: Optional[str] = None) -> list[dict]:
     """Re-run every fixture check; returns [{fixture, name, passed}, ...].
 
-    A fixture whose document, ring spec, checks or check fields have the
-    wrong JSON shape raises ``ValueError`` naming the file.
+    A fixture that is not JSON, or whose document, ring spec, action,
+    checks, check kinds or check fields are wrong, raises ``ValueError``
+    naming the file.
     """
     results = []
     for fname, doc in _load_all(directory or fixture_dir()):
@@ -113,8 +118,11 @@ def replay(directory: Optional[str] = None) -> list[dict]:
                 isinstance(c, dict) and isinstance(c.get("kind"), str) and isinstance(c.get("name"), str)
                 for c in checks)):
             raise ValueError(f"fixture {fname}: 'checks' must be a list of objects with a string 'kind' and 'name'")
-        ring = Ring(ring_spec["vars"], ring_spec["char"])
-        action = doc.get("action", ring.default_action)
+        try:
+            ring = Ring(ring_spec["vars"], ring_spec["char"], default_action=doc.get("action"))
+        except (ValueError, InvSysError) as exc:
+            raise ValueError(f"fixture {fname}: {exc}") from None
+        action = ring.default_action
         for check in checks:
             passed = _run_check(fname, check, ring, action)
             results.append({"fixture": fname, "name": check["name"], "passed": passed})

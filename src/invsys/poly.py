@@ -33,7 +33,7 @@ import re
 import threading
 from typing import Container, Iterator, Optional
 
-from .errors import CharacteristicError, ParseError
+from .errors import CharacteristicError, DegreeCapError, ParseError
 
 Monomial = tuple[int, ...]
 
@@ -82,12 +82,12 @@ class Ring:
 
     Records the number of variables, the characteristic (0 or a prime p),
     the default apolarity action, and the degree cap bounding Artinianity
-    searches.  Also owns the canonical monomial enumeration, grown lazily,
-    which assigns every monomial a global index; frames of increasing degree
-    bound are prefixes of one another under this indexing.  On it the ring
-    grows its raise, lower and a! tables, only as far as a caller asks.  A
-    monomial beyond the enumeration is ranked by counting, so a polynomial
-    of high degree does not grow it.
+    searches.  Also owns the canonical monomial enumeration, which assigns
+    every monomial a global index; frames of increasing degree bound are
+    prefixes of one another under this indexing.  One growth step extends
+    the enumeration and the raise, lower and a! tables on it together, only
+    as far as a caller asks.  A monomial beyond the enumeration is ranked by
+    counting, so a polynomial of high degree does not grow it.
 
     Instances are immutable apart from write-once enumeration and table
     caches, and safe to share between threads.
@@ -132,27 +132,19 @@ class Ring:
         return f"Ring(nvars={self.nvars}, field={k})"
 
     def _grow(self, degree: int) -> None:
-        """Enumerate through ``degree``.  One thread grows at a time, and each
-        level is published index first, flat list next, so a reader that sees
-        a level also sees its indices."""
-        size = self.frame_size(degree)
-        if len(self._flat) >= size:
-            return
-        with self._grow_lock:
-            while (start := len(self._flat)) < size:
-                level = list(_monomials_of_degree(self.nvars, sum(self._flat[-1]) + 1))
-                self._index.update((m, start + k) for k, m in enumerate(level))
-                self._flat.extend(level)
-
-    def _grow_tables(self, degree: int) -> None:
-        """Fill the three tables through the <=degree frame.  One thread grows
-        them at a time, weights last, so a reader that sees entry k of the
-        weights sees it in all three."""
+        """Enumerate through ``degree + 1``, since raising the top degree
+        reaches the next one, and fill the three tables through ``degree``.
+        One thread grows at a time and publishes index, flat list, raise,
+        lower, then weights, so a reader that sees entry k of the weights
+        sees it in all three tables and sees the monomials they index."""
         size = self.frame_size(degree)
         if len(self._weight) >= size:
             return
-        self._grow(degree + 1)  # raising the top degree reaches the next one
         with self._grow_lock:
+            while (start := len(self._flat)) < self.frame_size(degree + 1):
+                level = list(_monomials_of_degree(self.nvars, sum(self._flat[-1]) + 1))
+                self._index.update((m, start + k) for k, m in enumerate(level))
+                self._flat.extend(level)
             monos, index = self._flat[len(self._weight) : size], self._index
             for i, up in enumerate(self._raise):
                 up.extend([index[m[:i] + (m[i] + 1,) + m[i + 1 :]] for m in monos])
@@ -163,22 +155,22 @@ class Ring:
     def raise_table(self, degree: int) -> list[list[int]]:
         """up[i][k] is the index of x_(i+1) * m_k, m_k the monomial at index
         k; this and the other tables cover at least the <=degree frame."""
-        self._grow_tables(degree)
+        self._grow(degree)
         return self._raise
 
     def lower_table(self, degree: int) -> list[list[Optional[tuple[int, int]]]]:
         """down[i][k] is (the index of m_k / x_(i+1), the exponent e of
         x_(i+1) in m_k), or None when e = 0."""
-        self._grow_tables(degree)
+        self._grow(degree)
         return self._lower
 
     def weight_table(self, degree: int) -> list[int]:
         """w[k] is a! = prod(a_i!) for m_k = x^a."""
-        self._grow_tables(degree)
+        self._grow(degree)
         return self._weight
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
-        self._grow(d)
+        self._grow(d - 1)
         return self._flat[self.frame_size(d - 1) : self.frame_size(d)]
 
     def index_of(self, mono: Monomial) -> int:
@@ -229,6 +221,11 @@ class Ring:
             else:
                 lo = mid + 1
         return lo
+
+    def check_degree(self, degree: int, what: str = "degree") -> None:
+        """DegreeCapError unless ``degree`` is within the degree cap."""
+        if degree > self.max_degree_cap:
+            raise DegreeCapError(f"{what} {degree} exceeds degree cap {self.max_degree_cap}")
 
     def frame_size(self, degree: int) -> int:
         """dim of the span of monomials of degree <= ``degree``; 0 below 0."""

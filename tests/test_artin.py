@@ -98,7 +98,7 @@ def test_truncation_span_cap(r3):
 
     with pytest.raises(DegreeCapError):
         truncation_span(ideal(r, "x1"), 5)
-    with pytest.raises(DegreeCapError, match="degree 5 exceeds cap 4"):
+    with pytest.raises(DegreeCapError, match="degree 5 exceeds degree cap 4"):
         contains_power_of_maximal(ideal(r, "x1", "x2", "x3"), 5)
 
 

@@ -181,6 +181,23 @@ def test_rational_flag_of_any_length(capsys):
     assert code == 0 and json.loads(out)["diagnostics"] == {"j": f"-{j}/7"}
 
 
+def test_seed_of_any_length(capsys):
+    # 1...1 (5000 ones), past the int/str conversion limit; gen_pol masks the
+    # seed to 64 bits, so it draws what that residue draws
+    seed = (10**5000 - 1) // 9
+    flags = ("gen-pol", "--vars", "3", "--deg-min", "1", "--deg-max", "3", "--bound", "5")
+    for sign in ("", "-"):
+        residue = (-seed if sign else seed) % 2**64
+        expected = invoke(capsys, *flags, "--seed", str(residue))
+        assert expected[0] == 0 and invoke(capsys, *flags, "--seed", sign + "1" * 5000) == expected
+    code, out, _ = invoke(capsys, *flags, "--seed", "-" + "1" * 5000, "--format", "json")
+    assert code == 0 and json.loads(out)["diagnostics"] == {"seed": "-" + "1" * 5000}
+    # other spellings read as before; a bad one is a usage error
+    assert invoke(capsys, *flags, "--seed", " +1_2 ") == invoke(capsys, *flags, "--seed", "12")
+    code, _, err = invoke(capsys, *flags, "--seed", "1/2")
+    assert code == 1 and err.endswith("error: argument --seed: invalid int value: '1/2'\n")
+
+
 def test_usage_errors_with_leading_minus_operand(capsys):
     code, _, err = invoke(capsys, "ideal-ann", "-x1^5-3*x1^4*x3")
     assert code == 1
@@ -547,18 +564,26 @@ def test_replay_fixtures_missing_dir(capsys, tmp_path):
     check = {"kind": "bogus", "name": "b"}
     (tmp_path / "bogus.json").write_text(json.dumps({"checks": [check]}), encoding="utf-8")
     assert invoke(capsys, "replay-fixtures", "--dir", str(tmp_path)) == (
-        3, "", "error: unknown fixture check kind 'bogus'\n")
-    # malformed fixtures: one error line naming the file, exit 3
+        3, "", "error: fixture bogus.json: unknown fixture check kind 'bogus'\n")
+    # malformed fixtures: one error line naming the file, exit 3; a string
+    # is the file's text, anything else is written as JSON
     malformed = [
         ({"checks": [{"kind": "is_ag", "name": "x"}]},
          "check 'x' needs 'ideal', a list of polynomial texts"),
         ([1, 2], "the document must be a JSON object"),
         ({"ring": {"vars": 3, "char": 0}}, "'checks' must be a list of objects with a string 'kind' and 'name'"),
+        ("[", "Expecting value: line 1 column 2 (char 1)"),
+        ({"ring": {"vars": 0, "char": 0}, "checks": []}, "need at least one variable"),
+        ({"ring": {"vars": 3, "char": 4}, "checks": []}, "characteristic must be 0 or prime, got 4"),
+        ({"action": "bogus", "checks": []}, "unknown action 'bogus'"),
+        ({"action": 5, "checks": []}, "unknown action 5"),
+        ({"ring": {"vars": 3, "char": 5}, "action": "der", "checks": []},
+         "derivation action requires characteristic 0"),
     ]
     for k, (doc, message) in enumerate(malformed):
         directory = tmp_path / f"malformed{k}"
         directory.mkdir()
-        (directory / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+        (directory / "bad.json").write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
         assert invoke(capsys, "replay-fixtures", "--dir", str(directory)) == (
             3, "", f"error: fixture bad.json: {message}\n")
 

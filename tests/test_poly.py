@@ -505,8 +505,8 @@ def _tables(ring, degree):
 
 def test_ring_enumeration_grows_safely_across_threads():
     # a tiny switch interval makes threads interleave inside the first growth;
-    # half the threads grow the enumeration first, half the tables a degree
-    # at a time, which grows the enumeration under them
+    # half the threads first ask for monomials_of_degree, which grows the
+    # frame too, and all then ask for the tables a degree at a time
     degree, trials, workers = 10, 10, 4
     expected = _tables(Ring(4, 0), degree)
     old = sys.getswitchinterval()
