@@ -176,11 +176,11 @@ def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
     ring = span.ring
     rows = span.echelon.rows
     tables = ring.lower_table(span.bound)
-    units = {low[0] for p, row in rows.items() if len(row) == 1 for down in tables if (low := down[p])}
+    units = {low for p, row in rows.items() if len(row) == 1 for down in tables if (low := down[p]) is not None}
     weighted = action == DER
     vecs = [
-        vec for down in tables for row in rows.values() if len(row) > 1
-        if (vec := _lowered(down, row, weighted, units))
+        vec for i in range(ring.nvars) for row in rows.values() if len(row) > 1
+        if (vec := _lowered(ring, i, row, weighted, units))
     ]
     # lowest highest index first: in-process, deep_socle ran 17% slower
     # without it (grid_q flat)

@@ -55,8 +55,8 @@ def _orbit(ring: Ring, vec: Vector, bound: int, action: str) -> Iterator[Vector]
     for d in range(1, bound + 1):
         layer = []
         for j in range(ring.frame_size(d - 1), ring.frame_size(d)):
-            low = next(low for low in down if low[j] is not None)
-            layer.append(_lowered(low, prev[low[j][0] - start], action == DER))
+            i = next(i for i, low in enumerate(down) if low[j] is not None)
+            layer.append(_lowered(ring, i, prev[down[i][j] - start], action == DER))
         yield from layer
         prev, start = layer, ring.frame_size(d - 1)
 

@@ -17,7 +17,7 @@ from typing import Optional
 from ..artin import IdealHandle, cm_type, eq_ideal, is_ag, socle_ideal
 from ..duality import SubmoduleHandle, eq_mod_ih, ideal_ann, inv_syst
 from ..elliptic import classification_table, verify_row
-from ..errors import InvSysError
+from ..errors import InvSysError, ParseError
 from ..poly import Ring, parse_poly
 
 
@@ -55,8 +55,13 @@ def _run_check(fname: str, check: dict, ring: Ring, action: str) -> bool:
             raise ValueError(f"fixture {fname}: check {check['name']!r} needs {key!r}, {what}")
         return value
 
+    def parse(key):
+        try:
+            return [parse_poly(t, ring) for t in field(key)]
+        except ParseError as exc:
+            raise ValueError(f"fixture {fname}: check {check['name']!r}: {exc}") from None
+
     kind = check["kind"]
-    parse = lambda key: [parse_poly(t, ring) for t in field(key)]
     if kind == "is_ag":
         return is_ag(IdealHandle(ring, parse("ideal"))) == field("expect")
     if kind == "cm_type":
@@ -103,8 +108,8 @@ def replay(directory: Optional[str] = None) -> list[dict]:
     """Re-run every fixture check; returns [{fixture, name, passed}, ...].
 
     A fixture that is not JSON, or whose document, ring spec, action,
-    checks, check kinds or check fields are wrong, raises ``ValueError``
-    naming the file.
+    checks, check kinds, check fields or polynomial texts are wrong, raises
+    ``ValueError`` naming the file.
     """
     results = []
     for fname, doc in _load_all(directory or fixture_dir()):

@@ -34,7 +34,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import FrameMismatchError
-from .poly import DER, Poly, Ring, _poly, check_action
+from .poly import DER, Poly, Ring, _factorial, _poly, check_action
 
 Vector = dict[int, int]
 
@@ -307,9 +307,9 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     complement vector e_f - sum_p (row_p[f] / row_p[p]) * e_p, scaled to
     integers by the lcm of the pivot entries involved, and only these are
     eliminated.  The differentiation complement is the contraction one with
-    coordinate x^a scaled by 1/a!, read off the ring's weight table; that
-    keeps every zero, so each row stays reduced once scaled back to a
-    primitive integer vector.
+    coordinate x^a scaled by 1/a!, read off the monomial; that keeps every
+    zero, so each row stays reduced once scaled back to a primitive integer
+    vector.
     """
     ring = u.ring
     check_action(ring, action)
@@ -330,7 +330,7 @@ def perp_space(u: SubspaceBasis, action: str) -> SubspaceBasis:
     # complements of m o I^perp took 1.4-2.5 times as long
     ech.insert_all(sorted(kernel, key=lambda v: (len(v), -max(v))))
     if action == DER:
-        weight = ring.weight_table(u.bound)
+        weight = {k: _factorial(ring, k) for k in set().union(*ech.rows.values())}
         rescaled = {}
         for p, row in ech.rows.items():
             top = lcm(*(weight[k] for k in row))

@@ -85,8 +85,10 @@ class Ring:
     searches.  Also owns the canonical monomial enumeration, which assigns
     every monomial a global index; frames of increasing degree bound are
     prefixes of one another under this indexing.  One growth step extends
-    the enumeration and the raise, lower and a! tables on it together, only
-    as far as a caller asks.  A monomial beyond the enumeration is ranked by
+    the enumeration and the raise and lower tables on it together, only as
+    far as a caller asks.  Both tables hold indices only; a number that
+    belongs to a monomial, such as an exponent or a!, is read off its
+    exponent tuple.  A monomial beyond the enumeration is ranked by
     counting, so a polynomial of high degree does not grow it.
 
     Instances are immutable apart from write-once enumeration and table
@@ -115,8 +117,7 @@ class Ring:
         self._flat: list[Monomial] = [(0,) * nvars]
         self._index: dict[Monomial, int] = {(0,) * nvars: 0}
         self._raise: list[list[int]] = [[] for _ in range(nvars)]
-        self._lower: list[list[Optional[tuple[int, int]]]] = [[] for _ in range(nvars)]
-        self._weight: list[int] = []
+        self._lower: list[list[Optional[int]]] = [[] for _ in range(nvars)]
         self._grow_lock = threading.Lock()
 
     def __eq__(self, other: object) -> bool:
@@ -133,41 +134,35 @@ class Ring:
 
     def _grow(self, degree: int) -> None:
         """Enumerate through ``degree + 1``, since raising the top degree
-        reaches the next one, and fill the three tables through ``degree``.
+        reaches the next one, and fill the two tables through ``degree``.
         One thread grows at a time and publishes index, flat list, raise,
-        lower, then weights, so a reader that sees entry k of the weights
-        sees it in all three tables and sees the monomials they index."""
+        then lower, so a reader that sees entry k of the last lower table
+        sees it in both tables and sees the monomials they index."""
         size = self.frame_size(degree)
-        if len(self._weight) >= size:
+        if len(self._lower[-1]) >= size:
             return
         with self._grow_lock:
             while (start := len(self._flat)) < self.frame_size(degree + 1):
                 level = list(_monomials_of_degree(self.nvars, sum(self._flat[-1]) + 1))
                 self._index.update((m, start + k) for k, m in enumerate(level))
                 self._flat.extend(level)
-            monos, index = self._flat[len(self._weight) : size], self._index
+            monos, index = self._flat[len(self._lower[-1]) : size], self._index
             for i, up in enumerate(self._raise):
                 up.extend([index[m[:i] + (m[i] + 1,) + m[i + 1 :]] for m in monos])
             for i, down in enumerate(self._lower):
-                down.extend([(index[m[:i] + (m[i] - 1,) + m[i + 1 :]], m[i]) if m[i] else None for m in monos])
-            self._weight.extend([math.prod(map(math.factorial, m)) for m in monos])
+                down.extend([index[m[:i] + (m[i] - 1,) + m[i + 1 :]] if m[i] else None for m in monos])
 
     def raise_table(self, degree: int) -> list[list[int]]:
         """up[i][k] is the index of x_(i+1) * m_k, m_k the monomial at index
-        k; this and the other tables cover at least the <=degree frame."""
+        k; this and the lower table cover at least the <=degree frame."""
         self._grow(degree)
         return self._raise
 
-    def lower_table(self, degree: int) -> list[list[Optional[tuple[int, int]]]]:
-        """down[i][k] is (the index of m_k / x_(i+1), the exponent e of
-        x_(i+1) in m_k), or None when e = 0."""
+    def lower_table(self, degree: int) -> list[list[Optional[int]]]:
+        """down[i][k] is the index of m_k / x_(i+1), or None when x_(i+1)
+        does not divide m_k."""
         self._grow(degree)
         return self._lower
-
-    def weight_table(self, degree: int) -> list[int]:
-        """w[k] is a! = prod(a_i!) for m_k = x^a."""
-        self._grow(degree)
-        return self._weight
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
         self._grow(d - 1)
@@ -428,19 +423,17 @@ def apply_der(f: Poly, g: Poly) -> Poly:
     return _apply(f, g, weighted=True)
 
 
-def _lowered(
-    down: list[Optional[tuple[int, int]]], vec: dict[int, int], weighted: bool, skip: Container[int] = ()
-) -> dict[int, int]:
-    """x_i o vec from x_i's entries in the ring's lower table, without the
-    coordinates in ``skip``: under differentiation the exponent multiplies,
-    under contraction nothing does."""
+def _lowered(ring: Ring, i: int, vec: dict[int, int], weighted: bool, skip: Container[int] = ()) -> dict[int, int]:
+    """x_(i+1) o vec from the ring's lower table, which the caller has grown
+    over vec, without the coordinates in ``skip``: under differentiation the
+    exponent of x_(i+1), read off the monomial, multiplies, under
+    contraction nothing does."""
+    down, flat = ring._lower[i], ring._flat
     out = {}
     for j, c in vec.items():
-        ke = down[j]
-        if ke is not None:
-            k, e = ke
-            if k not in skip:
-                out[k] = c * e if weighted and e != 1 else c
+        k = down[j]
+        if k is not None and k not in skip:
+            out[k] = c * flat[j][i] if weighted else c
     return out
 
 
@@ -484,9 +477,12 @@ def sigma(g: Poly) -> Poly:
     """
     if g.ring.char != 0:
         raise CharacteristicError("sigma requires characteristic 0")
-    # per term, not from the weight table: g may be sparse in a large frame
-    at = g.ring.monomial_at
-    return _poly(g.ring, {k: c * math.prod(map(math.factorial, at(k))) for k, c in g.vec.items()}, g.den)
+    return _poly(g.ring, {k: c * _factorial(g.ring, k) for k, c in g.vec.items()}, g.den)
+
+
+def _factorial(ring: Ring, k: int) -> int:
+    """a! = prod(a_i!) for the monomial x^a at index k."""
+    return math.prod(map(math.factorial, ring.monomial_at(k)))
 
 
 def top_form(h: Poly) -> Poly:

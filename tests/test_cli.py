@@ -52,6 +52,14 @@ def test_is_ag_cap_limited_exits_inconclusive(capsys):
     assert "inconclusive" in err
 
 
+def test_out_of_memory_is_one_line_and_exit_4(capsys, monkeypatch):
+    def exhausted(ideal):
+        raise MemoryError
+
+    monkeypatch.setattr("invsys.cli.is_ag", exhausted)
+    assert invoke(capsys, "is-ag", "--vars", "2", "x1^2, x2^2") == (4, "", "error: out of memory\n")
+
+
 def test_cm_type_session(capsys):
     code, out, _ = invoke(capsys, "cm-type", "--vars", "3", SESSION_4GEN)
     assert (code, out) == (0, "3\n")
@@ -579,6 +587,8 @@ def test_replay_fixtures_missing_dir(capsys, tmp_path):
         ({"action": 5, "checks": []}, "unknown action 5"),
         ({"ring": {"vars": 3, "char": 5}, "action": "der", "checks": []},
          "derivation action requires characteristic 0"),
+        ({"checks": [{"kind": "is_ag", "name": "broken", "ideal": ["x1^"]}]},
+         "check 'broken': expected a number (at position 3)"),
     ]
     for k, (doc, message) in enumerate(malformed):
         directory = tmp_path / f"malformed{k}"

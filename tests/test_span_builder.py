@@ -40,7 +40,7 @@ from invsys import (
     socle_ideal,
     truncation_span,
 )
-from invsys.artin import require_artin
+from invsys.artin import maximal_action, require_artin
 
 # socle degree of the Gorenstein instances per variable count
 TOP_DEGREE = {2: 5, 3: 4, 4: 3, 5: 2}
@@ -173,6 +173,18 @@ def edge_generators(ring):
     (x1*x2 kills it), and a constant beside a higher-degree generator."""
     texts = [["1"], ["x1^3*x2^2"], ["x1^3+x2^2"], ["1", "x1^2+x1*x2"]]
     return [[parse_poly(t, ring) for t in gens] for gens in texts]
+
+
+@pytest.mark.parametrize("char,action,seed", [(0, "der", 5), (0, "der", 6), (32003, "cont", 7)])
+def test_six_variable_module_matches_action_oracle(char, action, seed):
+    # each lowering reads the exponent of x_i, i up to 6, off the monomial,
+    # and the differentiation complement reads a! off it
+    ring = Ring(6, char)
+    module = SubmoduleHandle(ring, [gen_pol(ring, 1, 3, 3, seed)], action)
+    span = module.closure()
+    assert span.echelon == oracle.closure(module)
+    assert maximal_action(span, action) == oracle.maximal_action(span, action)
+    assert perp_space(span, action) == oracle.perp_space(span, action)
 
 
 @pytest.mark.parametrize("n,char", GRID)
