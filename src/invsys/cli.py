@@ -9,9 +9,10 @@ content as the text mode.
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 precondition
 violation (for example a non-Artinian input where an Artinian one is
 required), 4 inconclusive (the Artinianity search exhausted the degree cap,
-a module frame exceeds it, or memory ran out).  Output that cannot be
-written also exits 3 with one "error:" line, except a closed pipe: that
-ends the process by SIGPIPE, as it ends other Unix filters.
+a module frame exceeds it, a frame exceeds the ring's frame budget, or
+memory ran out).  Output that cannot be written also exits 3 with one
+"error:" line, except a closed pipe: that ends the process by SIGPIPE, as
+it ends other Unix filters.
 
 One table, ``_COMMANDS``, holds a row for each of the eighteen subcommands:
 its operands, flags, ring, library call, output shape and diagnostics.  One

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from itertools import compress
 from typing import Container, Iterator, Optional
 
 from .errors import CharacteristicError, DegreeCapError, ParseError
@@ -43,6 +44,10 @@ CONT = "cont"
 ACTIONS = (DER, CONT)
 
 _MASK64 = (1 << 64) - 1
+
+# the most monomials Ring.check_degree lets a frame enumerate: x_i^6 in six
+# variables needs 2760681
+_FRAME_BUDGET = 3 * 10**6
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -84,12 +89,14 @@ class Ring:
     the default apolarity action, and the degree cap bounding Artinianity
     searches.  Also owns the canonical monomial enumeration, which assigns
     every monomial a global index; frames of increasing degree bound are
-    prefixes of one another under this indexing.  One growth step extends
-    the enumeration and the raise and lower tables on it together, only as
-    far as a caller asks.  Both tables hold indices only; a number that
-    belongs to a monomial, such as an exponent or a!, is read off its
-    exponent tuple.  A monomial beyond the enumeration is ranked by
-    counting, so a polynomial of high degree does not grow it.
+    prefixes of one another under this indexing.  Every monomial is ranked
+    by counting, so a polynomial of high degree does not grow the
+    enumeration.  One growth step extends the enumeration and the raise and
+    lower tables on it together, only as far as a caller asks, and reads
+    both tables off positions in the order.  Both tables hold indices only;
+    a number that belongs to a monomial, such as an exponent or a!, is read
+    off its exponent tuple.  ``check_degree`` bounds every frame by the
+    degree cap and by a budget on its enumeration.
 
     Instances are immutable apart from write-once enumeration and table
     caches, and safe to share between threads.
@@ -115,7 +122,6 @@ class Ring:
         self.default_action = check_action(self, default_action)
         self.max_degree_cap = max_degree_cap
         self._flat: list[Monomial] = [(0,) * nvars]
-        self._index: dict[Monomial, int] = {(0,) * nvars: 0}
         self._raise: list[list[int]] = [[] for _ in range(nvars)]
         self._lower: list[list[Optional[int]]] = [[] for _ in range(nvars)]
         self._grow_lock = threading.Lock()
@@ -135,22 +141,40 @@ class Ring:
     def _grow(self, degree: int) -> None:
         """Enumerate through ``degree + 1``, since raising the top degree
         reaches the next one, and fill the two tables through ``degree``.
-        One thread grows at a time and publishes index, flat list, raise,
-        then lower, so a reader that sees entry k of the last lower table
-        sees it in both tables and sees the monomials they index."""
+
+        The tables are read off positions, with no monomial arithmetic or
+        lookup.  For m != m' of one degree, m > m' lexicographically iff
+        x_i*m > x_i*m', since both pairs first differ at the same coordinate
+        and by the same amount.  And m -> x_i*m maps degree d one-to-one
+        onto the monomials of degree d + 1 whose x_i exponent is nonzero,
+        each of which is x_i times its quotient by x_i.  So over degree d,
+        raise[i] lists those monomials' indices in order, and over degree
+        d + 1, lower[i] is None where the x_i exponent is 0 and lists degree
+        d's indices in order elsewhere.  The layer for degree d reads
+        indices from ``frame_size(d - 2)`` to ``frame_size(d + 1)``, and one
+        int object per index serves every entry that holds it within one
+        growth.
+
+        One thread grows at a time and publishes flat list, raise, then
+        lower, so a reader that sees entry k of the last lower table sees it
+        in both tables and sees the monomials they index."""
         size = self.frame_size(degree)
         if len(self._lower[-1]) >= size:
             return
         with self._grow_lock:
-            while (start := len(self._flat)) < self.frame_size(degree + 1):
-                level = list(_monomials_of_degree(self.nvars, sum(self._flat[-1]) + 1))
-                self._index.update((m, start + k) for k, m in enumerate(level))
-                self._flat.extend(level)
-            monos, index = self._flat[len(self._lower[-1]) : size], self._index
-            for i, up in enumerate(self._raise):
-                up.extend([index[m[:i] + (m[i] + 1,) + m[i + 1 :]] for m in monos])
-            for i, down in enumerate(self._lower):
-                down.extend([index[m[:i] + (m[i] - 1,) + m[i + 1 :]] if m[i] else None for m in monos])
+            while len(self._flat) < self.frame_size(degree + 1):
+                self._flat.extend(_monomials_of_degree(self.nvars, sum(self._flat[-1]) + 1))
+            ints: list[int] = []
+            for d in range(self.degree_at(len(self._lower[-1])), degree + 1):
+                a, b, c, e = (self.frame_size(d + s) for s in (-2, -1, 0, 1))
+                # ints[k - a] is k for a <= k < e, reused from the layer below
+                ints = (ints[a - c :] if ints else list(range(a, c))) + list(range(c, e))
+                below, above, monos, nxt = ints[: b - a], ints[c - a :], self._flat[b:c], self._flat[c:e]
+                for i, up in enumerate(self._raise):
+                    up.extend(compress(above, [m[i] for m in nxt]))
+                for i, down in enumerate(self._lower):
+                    take = iter(below).__next__
+                    down.extend([take() if m[i] else None for m in monos])
 
     def raise_table(self, degree: int) -> list[list[int]]:
         """up[i][k] is the index of x_(i+1) * m_k, m_k the monomial at index
@@ -169,13 +193,14 @@ class Ring:
         return self._flat[self.frame_size(d - 1) : self.frame_size(d)]
 
     def index_of(self, mono: Monomial) -> int:
-        """Global canonical index of a monomial: those of lower degree come
-        first, then those of its degree with a lexicographically larger
-        exponent tuple."""
-        idx = self._index.get(mono)
-        if idx is not None:
-            return idx
-        n, rest = self.nvars, sum(mono)
+        """Global canonical index of a monomial, by counting: those of lower
+        degree come first, then those of its degree with a lexicographically
+        larger exponent tuple.  ValueError unless ``mono`` has one
+        nonnegative exponent per variable."""
+        n = self.nvars
+        if len(mono) != n or min(mono) < 0:
+            raise ValueError(f"{mono!r} is not a monomial: need arity {n} and nonnegative exponents")
+        rest = sum(mono)
         idx = self.frame_size(rest - 1)
         for i, e in enumerate(mono[:-1]):
             # those that agree before x_(i+1) and exceed e there
@@ -186,7 +211,7 @@ class Ring:
 
     def monomial_at(self, index: int) -> Monomial:
         flat = self._flat
-        if index < len(flat):
+        if 0 <= index < len(flat):
             return flat[index]
         n, rest = self.nvars, self.degree_at(index)
         index -= self.frame_size(rest - 1)
@@ -203,7 +228,9 @@ class Ring:
 
     def degree_at(self, index: int) -> int:
         """Total degree of the monomial at ``index``: the least d whose frame
-        holds more than ``index`` monomials."""
+        holds more than ``index`` monomials.  ValueError if ``index`` < 0."""
+        if index < 0:
+            raise ValueError(f"monomial index {index} is negative")
         if index < len(self._flat):
             return sum(self._flat[index])
         lo, hi = 0, 1
@@ -218,9 +245,15 @@ class Ring:
         return lo
 
     def check_degree(self, degree: int, what: str = "degree") -> None:
-        """DegreeCapError unless ``degree`` is within the degree cap."""
+        """DegreeCapError unless ``degree`` is within the degree cap and its
+        enumeration, ``frame_size(degree + 1)`` monomials, within the frame
+        budget."""
         if degree > self.max_degree_cap:
             raise DegreeCapError(f"{what} {degree} exceeds degree cap {self.max_degree_cap}")
+        if (size := self.frame_size(degree + 1)) > _FRAME_BUDGET:
+            raise DegreeCapError(
+                f"{what} {degree} needs a frame of {size} monomials, over the frame budget {_FRAME_BUDGET}"
+            )
 
     def frame_size(self, degree: int) -> int:
         """dim of the span of monomials of degree <= ``degree``; 0 below 0."""
@@ -275,7 +308,7 @@ class Poly:
 
     def __init__(self, ring: Ring, terms: dict):
         index = ring.index_of
-        made = _from_ratios(ring, [(index(m), c.numerator, c.denominator) for m, c in terms.items() if c])
+        made = _from_ratios(ring, [(index(m), c.numerator, c.denominator) for m, c in terms.items()])
         self.ring, self.vec, self.den = ring, made.vec, made.den
 
     @property
@@ -302,8 +335,6 @@ class Poly:
 
     @classmethod
     def monomial(cls, ring: Ring, mono: Monomial, coeff=1) -> "Poly":
-        if len(mono) != ring.nvars:
-            raise ValueError("monomial arity mismatch")
         return cls(ring, {tuple(mono): coeff})
 
     def is_zero(self) -> bool:

@@ -60,6 +60,13 @@ def test_out_of_memory_is_one_line_and_exit_4(capsys, monkeypatch):
     assert invoke(capsys, "is-ag", "--vars", "2", "x1^2, x2^2") == (4, "", "error: out of memory\n")
 
 
+def test_frame_over_the_budget_is_one_line_and_exit_4(capsys, monkeypatch):
+    # in 3 variables, m^6 needs the degree-<=7 enumeration: 120 monomials
+    monkeypatch.setattr("invsys.poly._FRAME_BUDGET", 100)
+    assert invoke(capsys, "is-ag", "--vars", "3", "x1^3, x2^3, x3^3") == (
+        4, "", "error: degree 6 needs a frame of 120 monomials, over the frame budget 100\n")
+
+
 def test_cm_type_session(capsys):
     code, out, _ = invoke(capsys, "cm-type", "--vars", "3", SESSION_4GEN)
     assert (code, out) == (0, "3\n")

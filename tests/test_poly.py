@@ -537,12 +537,23 @@ def test_ring_enumeration_grows_safely_across_threads():
         sys.setswitchinterval(old)
 
 
-@pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5, 6])
-def test_ring_tables_match_tuple_arithmetic(nvars):
+# the degrees a ring's tables are grown to, in turn, before degree 6: two
+# steps extend a table, one degree at a time starts every layer on a grown
+# one, and all at once builds every layer in one growth; the two-step cases
+# keep their bare nvars ids
+_GROWTH = {"": (2,), "each": tuple(range(6)), "once": ()}
+
+
+@pytest.mark.parametrize(
+    "nvars, steps",
+    [(n, steps) for steps in _GROWTH.values() for n in range(1, 7)],
+    ids=[f"{n}-{name}" if name else f"{n}" for name in _GROWTH for n in range(1, 7)],
+)
+def test_ring_tables_match_tuple_arithmetic(nvars, steps):
     degree = 6
     ring = Ring(nvars, 0)
-    # grown in two steps, so an extended table is what gets checked
-    ring.lower_table(2)
+    for d in steps:
+        ring.lower_table(d)
     up, down = _tables(ring, degree)
     for k, m in enumerate(monomials_upto(ring, degree)):
         for i in range(nvars):
@@ -570,6 +581,25 @@ def test_monomials_beyond_the_enumeration_are_ranked_by_counting(nvars):
     assert (f.degree(), f.order()) == (1000, 1000)
     assert ring.index_of((0,) * (nvars - 1) + (1000,)) == ring.frame_size(1000) - 1
     assert len(ring._flat) == 1
+
+
+def test_malformed_monomials_are_refused():
+    ring = Ring(3, 0)
+    ring.raise_table(2)
+    for mono in [(1, 1), (1, 1, 0, 0), (-1, 2, 0), (2, 0, -1)]:
+        with pytest.raises(ValueError, match="not a monomial"):
+            ring.index_of(mono)
+        with pytest.raises(ValueError, match="not a monomial"):
+            Poly(ring, {mono: 1})
+        with pytest.raises(ValueError, match="not a monomial"):
+            Poly(ring, {mono: 0})
+        with pytest.raises(ValueError, match="not a monomial"):
+            parse_poly("x1^2+2*x2+3*x3", ring).coeff(mono)
+    for k in (-1, -ring.frame_size(2)):
+        with pytest.raises(ValueError, match="negative"):
+            ring.monomial_at(k)
+        with pytest.raises(ValueError, match="negative"):
+            ring.degree_at(k)
 
 
 def test_rings_that_only_parse_and_format_build_no_tables():
