@@ -26,8 +26,9 @@ the closure span, the k-span of all x^a o g_j in the frame of the top
 generator degree, bounded by the ring's degree cap.  It is what
 ``SubmoduleHandle.closure`` returns, a ``SubspaceBasis`` cached on the
 handle.  The closure and the colon's equations come from ``_orbit``, which
-forms each x^a o g from x^(a - e_i) o g on index vectors through the ring's
-lower table; ``apply_action`` only re-checks the colon's answer.
+builds the x^a o g of each degree from those of the degree below, in the
+blocks in which the ring builds its monomials, on index vectors through the
+ring's lower table; ``apply_action`` only re-checks the colon's answer.
 """
 
 from __future__ import annotations
@@ -38,27 +39,29 @@ from .artin import IdealHandle, maximal_action, minimal_ideal, require_artin, tr
 from .errors import VerificationError
 from .linalg import Echelon, SubspaceBasis, Vector, perp_space
 from .poly import (
-    CONT, DER, Poly, Ring, _from_ratios, _lowered, apply_action, check_action, format_poly, sigma, top_form
+    CONT, DER, Poly, Ring, _from_ratios, _lowered, _next_degree, apply_action, check_action, format_poly, sigma,
+    top_form,
 )
 
 
 def _orbit(ring: Ring, vec: Vector, bound: int, action: str) -> Iterator[Vector]:
     """x^a o vec for every x^a in the <=bound frame, in canonical order.
 
-    x^a o vec = x_i o (x^(a - e_i) o vec) for the first variable x_i of x^a,
-    and the lower table also lowers x^a to x^(a - e_i), so only the previous
-    degree's vectors are held.
+    Degree d + 1 comes from degree d by ``_next_degree``: block i is x_i o v
+    over the last vectors v of degree d's, through the lower table, so only
+    the previous degree's vectors are held.
     """
-    down = ring.lower_table(bound)
+    ring.lower_table(bound)
+    weighted = action == DER
+
+    def times(i: int, block: list[Vector]) -> list[Vector]:
+        return [_lowered(ring, i, v, weighted) for v in block]
+
+    layer = [vec]
     yield vec
-    prev, start = [vec], 0
-    for d in range(1, bound + 1):
-        layer = []
-        for j in range(ring.frame_size(d - 1), ring.frame_size(d)):
-            i = next(i for i, low in enumerate(down) if low[j] is not None)
-            layer.append(_lowered(ring, i, prev[down[i][j] - start], action == DER))
+    for d in range(bound):
+        layer = _next_degree(layer, ring.nvars, d, times)
         yield from layer
-        prev, start = layer, ring.frame_size(d - 1)
 
 
 class SubmoduleHandle:

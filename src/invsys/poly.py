@@ -32,7 +32,7 @@ import math
 import re
 import threading
 from itertools import compress
-from typing import Container, Iterator, Optional
+from typing import Callable, Container, Optional
 
 from .errors import CharacteristicError, DegreeCapError, ParseError
 
@@ -72,14 +72,28 @@ def _is_prime(p: int) -> bool:
     )
 
 
-def _monomials_of_degree(nvars: int, d: int) -> Iterator[Monomial]:
-    # descending lexicographic within the degree: x1^d first
-    if nvars == 1:
-        yield (d,)
-        return
-    for e in range(d, -1, -1):
-        for rest in _monomials_of_degree(nvars - 1, d - e):
-            yield (e,) + rest
+def _next_degree(layer: list, n: int, d: int, step: Callable[[int, list], list]) -> list:
+    """The degree-(d + 1) layer of the canonical order in n variables, from
+    ``layer``, the degree-d one: block i, counted from 0, is
+    ``step(i, block)``, x_(i+1) times each item of ``block`` in turn, for
+    ``block`` the last C(d + n - 1 - i, d) items of ``layer``.  An item is a
+    monomial or anything that x_(i+1) acts on as on its monomial.
+
+    The last C(d + n - 1 - i, d) monomials of degree d are those free of
+    x_1..x_i, since any other one is larger: at its first nonzero exponent
+    it exceeds them, and they agree before it.  Each monomial of degree
+    d + 1 lies in the block of its first variable x_(i+1), as x_(i+1) times
+    its quotient by x_(i+1), which is free of x_1..x_i; so x_(i+1) maps
+    those monomials one-to-one onto block i.  The blocks come in order, as
+    a monomial of block i is nonzero at x_(i+1) and one of a later block is
+    zero there and before.  And x_(i+1) keeps the order within a block: for
+    m != m' of one degree, m > m' iff x_(i+1)*m > x_(i+1)*m', since both
+    pairs first differ at the same coordinate and by the same amount.
+    """
+    out: list = []
+    for i in range(n):
+        out += step(i, layer[len(layer) - math.comb(d + n - 1 - i, d) :])
+    return out
 
 
 class Ring:
@@ -92,10 +106,11 @@ class Ring:
     prefixes of one another under this indexing.  Every monomial is ranked
     by counting, so a polynomial of high degree does not grow the
     enumeration.  One growth step extends the enumeration and the raise and
-    lower tables on it together, only as far as a caller asks, and reads
-    both tables off positions in the order.  Both tables hold indices only;
-    a number that belongs to a monomial, such as an exponent or a!, is read
-    off its exponent tuple.  ``check_degree`` bounds every frame by the
+    lower tables on it together, only as far as a caller asks: it builds
+    each degree's monomials from the degree below (``_next_degree``) and
+    reads both tables off positions in the order.  Both tables hold indices
+    only; a number that belongs to a monomial, such as an exponent or a!, is
+    read off its exponent tuple.  ``check_degree`` bounds every frame by the
     degree cap and by a budget on its enumeration.
 
     Instances are immutable apart from write-once enumeration and table
@@ -142,18 +157,17 @@ class Ring:
         """Enumerate through ``degree + 1``, since raising the top degree
         reaches the next one, and fill the two tables through ``degree``.
 
-        The tables are read off positions, with no monomial arithmetic or
-        lookup.  For m != m' of one degree, m > m' lexicographically iff
-        x_i*m > x_i*m', since both pairs first differ at the same coordinate
-        and by the same amount.  And m -> x_i*m maps degree d one-to-one
-        onto the monomials of degree d + 1 whose x_i exponent is nonzero,
-        each of which is x_i times its quotient by x_i.  So over degree d,
-        raise[i] lists those monomials' indices in order, and over degree
-        d + 1, lower[i] is None where the x_i exponent is 0 and lists degree
-        d's indices in order elsewhere.  The layer for degree d reads
-        indices from ``frame_size(d - 2)`` to ``frame_size(d + 1)``, and one
-        int object per index serves every entry that holds it within one
-        growth.
+        The layer for degree d first builds degree d + 1's monomials from
+        degree d's by ``_next_degree``.  Then it reads the tables off
+        positions, with no lookup.  m -> x_i*m keeps the order within a
+        degree (see ``_next_degree``) and maps degree d one-to-one onto the
+        monomials of degree d + 1 whose x_i exponent is nonzero, each of
+        which is x_i times its quotient by x_i.  So over degree d, raise[i]
+        lists those monomials' indices in order, and over degree d + 1,
+        lower[i] is None where the x_i exponent is 0 and lists degree d's
+        indices in order elsewhere.  The layer reads indices from
+        ``frame_size(d - 2)`` to ``frame_size(d + 1)``, and one int object
+        per index serves every entry that holds it within one growth.
 
         One thread grows at a time and publishes flat list, raise, then
         lower, so a reader that sees entry k of the last lower table sees it
@@ -161,15 +175,19 @@ class Ring:
         size = self.frame_size(degree)
         if len(self._lower[-1]) >= size:
             return
+
+        def times(i: int, monos: list[Monomial]) -> list[Monomial]:
+            return [m[:i] + (m[i] + 1,) + m[i + 1 :] for m in monos]
+
         with self._grow_lock:
-            while len(self._flat) < self.frame_size(degree + 1):
-                self._flat.extend(_monomials_of_degree(self.nvars, sum(self._flat[-1]) + 1))
             ints: list[int] = []
             for d in range(self.degree_at(len(self._lower[-1])), degree + 1):
                 a, b, c, e = (self.frame_size(d + s) for s in (-2, -1, 0, 1))
                 # ints[k - a] is k for a <= k < e, reused from the layer below
                 ints = (ints[a - c :] if ints else list(range(a, c))) + list(range(c, e))
-                below, above, monos, nxt = ints[: b - a], ints[c - a :], self._flat[b:c], self._flat[c:e]
+                below, above, monos = ints[: b - a], ints[c - a :], self._flat[b:c]
+                nxt = _next_degree(monos, self.nvars, d, times)
+                self._flat += nxt
                 for i, up in enumerate(self._raise):
                     up.extend(compress(above, [m[i] for m in nxt]))
                 for i, down in enumerate(self._lower):
@@ -210,49 +228,63 @@ class Ring:
         return idx
 
     def monomial_at(self, index: int) -> Monomial:
+        """The monomial at ``index``, off the enumeration where it reaches
+        and else by counting, with O(log d) binomials per exponent.
+        ValueError if ``index`` < 0."""
         flat = self._flat
         if 0 <= index < len(flat):
             return flat[index]
         n, rest = self.nvars, self.degree_at(index)
         index -= self.frame_size(rest - 1)
         mono = []
-        for i in range(n - 1):
-            # blocks of equal exponent e of x_(i+1), largest e first
-            e = rest
-            while index >= (block := math.comb(rest - e + n - 2 - i, n - 2 - i)):
-                index -= block
-                e -= 1
-            mono.append(e)
-            rest -= e
+        for k in range(n - 1, 0, -1):
+            # of the monomials of degree rest in the last k + 1 variables,
+            # comb(t + k - 1, k) have a first exponent above rest - t, as
+            # index_of counts; gallop t up from 0 past index, then halve the
+            # step, to the t with index in [comb(t + k - 1, k), comb(t + k, k))
+            t, step = 0, 1
+            while t + step <= rest and math.comb(t + step + k - 1, k) <= index:
+                t, step = t + step, 2 * step
+            while step > 1:
+                step //= 2
+                if t + step <= rest and math.comb(t + step + k - 1, k) <= index:
+                    t += step
+            index -= math.comb(t + k - 1, k)
+            mono.append(rest - t)
+            rest = t
         return tuple(mono) + (rest,)
 
     def degree_at(self, index: int) -> int:
         """Total degree of the monomial at ``index``: the least d whose frame
-        holds more than ``index`` monomials.  ValueError if ``index`` < 0."""
+        holds more than ``index`` monomials.  ValueError if ``index`` < 0.
+
+        That d is at most r, the integer n-th root of n! * index, as
+        d^n <= d(d + 1)...(d + n - 1) = n! * frame_size(d - 1) <= n! * index.
+        And it is at least r - n // 2, as n! * frame_size(d) = (d + 1)...(d + n)
+        is at most (d + (n + 1) / 2)^n by the AM-GM inequality and exceeds
+        r^n.  Newton's method finds r from above."""
         if index < 0:
             raise ValueError(f"monomial index {index} is negative")
-        if index < len(self._flat):
-            return sum(self._flat[index])
-        lo, hi = 0, 1
-        while self.frame_size(hi) <= index:
-            lo, hi = hi + 1, 2 * hi
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.frame_size(mid) > index:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        n = self.nvars
+        x = math.factorial(n) * index
+        r = 1 << -(-x.bit_length() // n)
+        while r and (s := ((n - 1) * r + x // r ** (n - 1)) // n) < r:
+            r = s
+        d = max(r - n // 2, 0)
+        while math.comb(n + d, n) <= index:
+            d += 1
+        return d
 
     def check_degree(self, degree: int, what: str = "degree") -> None:
         """DegreeCapError unless ``degree`` is within the degree cap and its
         enumeration, ``frame_size(degree + 1)`` monomials, within the frame
         budget."""
         if degree > self.max_degree_cap:
-            raise DegreeCapError(f"{what} {degree} exceeds degree cap {self.max_degree_cap}")
+            raise DegreeCapError(f"{what} {_str(degree)} exceeds degree cap {_str(self.max_degree_cap)}")
         if (size := self.frame_size(degree + 1)) > _FRAME_BUDGET:
             raise DegreeCapError(
-                f"{what} {degree} needs a frame of {size} monomials, over the frame budget {_FRAME_BUDGET}"
+                f"{what} {_str(degree)} needs a frame of {_str(size)} monomials,"
+                f" over the frame budget {_FRAME_BUDGET}"
             )
 
     def frame_size(self, degree: int) -> int:
@@ -620,7 +652,7 @@ def parse_poly(text: str, ring: Ring) -> Poly:
                     raise ParseError("expected ')'", toks[i][1])
                 i += 1
             if not 1 <= idx <= ring.nvars:
-                raise ParseError(f"variable index {idx} out of range 1..{ring.nvars}", pos)
+                raise ParseError(f"variable index {_str(idx)} out of range 1..{ring.nvars}", pos)
             power = toks[i][0] == "^"
             i += power
             exps[idx - 1] += nat() if power else 1
@@ -642,7 +674,7 @@ def _format_monomial(mono: Monomial) -> str:
         if e == 1:
             parts.append(f"x{i + 1}")
         elif e > 1:
-            parts.append(f"x{i + 1}^{e}")
+            parts.append(f"x{i + 1}^{_str(e)}")
     return "*".join(parts)
 
 

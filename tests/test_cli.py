@@ -686,7 +686,13 @@ SUBCOMMAND_USAGE = [
     ("ideal-wj", "--j", "1/0"),  # not a rational
 ]
 
-# one invocation per exit code 0-4, a JSON one and one whose output outgrows a pipe buffer
+# 5000 digits, past the interpreter's default int/str conversion limit
+LONG = "1" * 5000
+LONG_EXPONENT_COLON = ("colon", "--vars", "1", f"x1^{LONG}", "x1")
+LONG_VARIABLE_INDEX = ("is-ag", "--vars", "3", f"x{LONG}")
+
+# one invocation per exit code 0-4, a JSON one, one whose output outgrows a
+# pipe buffer, and two whose error lines carry a number of 5000 digits
 ENTRY_POINT = [
     ("hilbert", "--vars", "3", CI3),
     ("inv-syst", "--vars", "3", "--format", "json", CI3),
@@ -695,12 +701,15 @@ ENTRY_POINT = [
     ("is-ag", "--vars", "3", "x1^2+"),
     ("socle", "--vars", "3", "x1^2+x2^3, x2^4"),
     ("hilbert", "--vars", "2", "--max-degree", "4", "x1^2+x2^2+x1^3"),
+    LONG_EXPONENT_COLON,
+    LONG_VARIABLE_INDEX,
     *TOP_LEVEL,
 ]
 
 
 def _argv_id(argv):
-    return " ".join(argv) or "no-arguments"
+    text = " ".join(argv) or "no-arguments"
+    return re.sub(r"\d{100,}", lambda m: f"<{len(m[0])} digits>", text)
 
 
 @pytest.mark.parametrize("argv", ENTRY_POINT, ids=_argv_id)
@@ -712,6 +721,10 @@ def test_entry_point_matches_run(capsys, argv):
 def test_entry_point_covers_every_exit_code(capsys):
     assert sorted({invoke(capsys, *argv)[0] for argv in ENTRY_POINT}) == [0, 1, 2, 3, 4]
     assert len(invoke(capsys, *BIG_GEN_POL)[1].encode()) > 65536
+    # the long numbers print in full, not as the interpreter's refusal (exit 3)
+    assert invoke(capsys, *LONG_EXPONENT_COLON) == (4, "", f"error: module degree {LONG} exceeds degree cap 64\n")
+    assert invoke(capsys, *LONG_VARIABLE_INDEX) == (
+        2, "", f"parse error: variable index {LONG} out of range 1..3 (at position 1)\n")
 
 
 @pytest.mark.parametrize("argv", TOP_LEVEL + SUBCOMMAND_USAGE + [("is-ag", "--help")], ids=_argv_id)

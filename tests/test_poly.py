@@ -212,6 +212,10 @@ def test_numbers_longer_than_the_int_str_limit_parse_and_format(char):
     else:
         assert (f.vec, f.den) == ({1: num}, den)
         assert format_poly(f) == text
+    # an exponent that long is ranked and read back by counting
+    text = "x1^" + "1" * 5000
+    f = parse_poly(text, Ring(2, char))
+    assert (f.degree(), format_poly(f)) == ((10**5000 - 1) // 9, text)
 
 
 @pytest.fixture
@@ -555,6 +559,10 @@ def test_ring_tables_match_tuple_arithmetic(nvars, steps):
     for d in steps:
         ring.lower_table(d)
     up, down = _tables(ring, degree)
+    # the enumeration reaches one degree past the tables, and each of its
+    # monomials is the one a fresh ring counts at that index
+    counted = Ring(nvars, 0)
+    assert ring._flat == [counted.monomial_at(k) for k in range(ring.frame_size(degree + 1))]
     for k, m in enumerate(monomials_upto(ring, degree)):
         for i in range(nvars):
             e_i = tuple(int(j == i) for j in range(nvars))
@@ -580,6 +588,14 @@ def test_monomials_beyond_the_enumeration_are_ranked_by_counting(nvars):
     assert format_poly(f) == ("2*x1^1000" if nvars == 1 else f"x1^1000+x{nvars}^1000")
     assert (f.degree(), f.order()) == (1000, 1000)
     assert ring.index_of((0,) * (nvars - 1) + (1000,)) == ring.frame_size(1000) - 1
+    # exponents of 10^30 are read back with a few binomials each, where
+    # stepping one value at a time would not finish; the neighbours in the
+    # order cross from one exponent's block to the next
+    big, zeros = 10**30, (0,) * nvars
+    for mono in [(zeros + (1, big))[-nvars:], ((1, big) + zeros)[:nvars], ((big,) + (1,) * nvars)[:nvars]]:
+        k = ring.index_of(mono)
+        assert ring.monomial_at(k) == mono
+        assert [ring.index_of(ring.monomial_at(j)) for j in (k - 1, k + 1)] == [k - 1, k + 1]
     assert len(ring._flat) == 1
 
 

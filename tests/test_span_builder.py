@@ -20,6 +20,7 @@ import oracle
 from invsys import (
     ACTIONS,
     CONT,
+    DER,
     IdealHandle,
     Poly,
     Ring,
@@ -41,6 +42,7 @@ from invsys import (
     truncation_span,
 )
 from invsys.artin import maximal_action, require_artin
+from invsys.duality import _orbit
 
 # socle degree of the Gorenstein instances per variable count
 TOP_DEGREE = {2: 5, 3: 4, 4: 3, 5: 2}
@@ -185,6 +187,23 @@ def test_six_variable_module_matches_action_oracle(char, action, seed):
     assert span.echelon == oracle.closure(module)
     assert maximal_action(span, action) == oracle.maximal_action(span, action)
     assert perp_space(span, action) == oracle.perp_space(span, action)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_is_the_action_of_each_monomial_in_order(n):
+    # the orbit builds each degree from the one below, block by block; the
+    # expected vectors come from apply_action on a second ring, which counts
+    # every monomial and grows no enumeration
+    degree = {1: 9, 2: 7, 3: 5, 4: 4, 5: 4, 6: 3}[n]
+    for char, action in [(0, DER), (0, CONT), (32003, CONT)]:
+        ring, counted = Ring(n, char), Ring(n, char)
+        f = gen_pol(counted, 0, degree, 3, 40 + n)
+        expected = [
+            apply_action(action, Poly.monomial(counted, counted.monomial_at(k)), f).vec
+            for k in range(counted.frame_size(degree))
+        ]
+        assert len(counted._flat) == 1
+        assert list(_orbit(ring, f.vec, degree, action)) == expected, (char, action)
 
 
 @pytest.mark.parametrize("n,char", GRID)
