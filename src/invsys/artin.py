@@ -226,7 +226,9 @@ def analyze_artin(ideal: IdealHandle) -> ArtinStatus:
     # a bound N such that m^N <= I if A is Artinian: 0 when the axis
     # certificate proves it is not, n(e-1) + 1 when the graded one applies
     proof_bound = cap + 1
-    if len({i for g in gens for m in g.terms for i, e in enumerate(m) if e == sum(m) > 0}) < ring.nvars:
+    # a term is a pure power x_i^e, e > 0, when its support is one variable
+    supports = ([i for i, e in enumerate(m) if e] for g in gens for m in g.terms)
+    if len({s[0] for s in supports if len(s) == 1}) < ring.nvars:
         proof_bound = 0
     elif all(g.is_homogeneous() for g in gens):
         proof_bound = ring.nvars * (max(g.degree() for g in gens) - 1) + 1

@@ -173,6 +173,11 @@ def _exact(text: str, kind: Callable):
         raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
 
 
+def _integer(text: str) -> int:
+    """An integer flag's value, at any length."""
+    return _exact(text, int)
+
+
 def _rational(text: str):
     """A --j value; ``fractions`` is imported only by the commands that take one."""
     from fractions import Fraction
@@ -210,7 +215,7 @@ def _artin_diagnostics(ideal: IdealHandle) -> dict:
         "artin": status.artin,
         "socleDegree": status.socle_degree,
         "proven": status.proven,
-        "cap": status.cap,
+        "cap": _json_int(status.cap),
     }
 
 
@@ -224,8 +229,13 @@ def _answer_artin(args, operands, answer) -> dict:
 
 def _text(x) -> str:
     """str(x) for an int or Fraction x of any size."""
-    text = ("-" if x < 0 else "") + _str(abs(x.numerator))
+    text = _str(x.numerator)
     return text if x.denominator == 1 else f"{text}/{_str(x.denominator)}"
+
+
+def _json_int(x: int):
+    """x as a JSON number, or as text past what every int/str limit prints."""
+    return x if abs(x) < _LIMIT else _text(x)
 
 
 def _j_diagnostics(args, *_) -> dict:
@@ -278,11 +288,11 @@ def _fixture_checks(results: list[dict]) -> tuple:
 
 _FORMAT_FLAG = ("--format", dict(choices=["text", "json"], default="text", help="output mode (default text)"))
 _RING_FLAGS = (
-    ("--vars", dict(type=int, required=True, help="number of variables")),
-    ("--char", dict(type=int, default=0, help="characteristic (0 or prime)")),
+    ("--vars", dict(type=_integer, required=True, help="number of variables")),
+    ("--char", dict(type=_integer, default=0, help="characteristic (0 or prime)")),
     ("--action", dict(choices=sorted(_ACTION_ALIASES),
                       help="module action (default: der in char 0, cont in char p)")),
-    ("--max-degree", dict(type=int, default=64,
+    ("--max-degree", dict(type=_integer, default=64,
                           help="degree cap for Artinianity searches and module frames (default 64)")),
     _FORMAT_FLAG,
 )
@@ -365,12 +375,11 @@ _COMMANDS = {
     "gen-pol": _Row("reproducible random polynomial", (),
                     lambda args: gen_pol(_make_ring(args), args.deg_min, args.deg_max, args.bound, args.seed),
                     _polynomial, flags=_RING_FLAGS + (
-                        ("--deg-min", dict(type=int, required=True)),
-                        ("--deg-max", dict(type=int, required=True)),
-                        ("--bound", dict(type=int, required=True, help="coefficients drawn from [-bound, bound]")),
-                        ("--seed", dict(type=lambda text: _exact(text, int), default=0)),
-                    ), diagnostics=lambda args, *_: {  # text past what every int/str limit prints
-                        "seed": args.seed if abs(args.seed) < _LIMIT else _text(args.seed)}),
+                        ("--deg-min", dict(type=_integer, required=True)),
+                        ("--deg-max", dict(type=_integer, required=True)),
+                        ("--bound", dict(type=_integer, required=True, help="coefficients drawn from [-bound, bound]")),
+                        ("--seed", dict(type=_integer, default=0)),
+                    ), diagnostics=lambda args, *_: {"seed": _json_int(args.seed)}),
     "weierstrass-j": _Row("cubic with the given j moduli", (), lambda args: _elliptic().weierstrass_j(args.j),
                           _polynomial, flags=_J_FLAGS, ring=_table_ring, diagnostics=_j_diagnostics),
     "ideal-wj": _Row("quadric ideal whose inverse system is the j-moduli cubic", (),

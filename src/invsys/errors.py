@@ -22,7 +22,8 @@ class FrameMismatchError(InvSysError):
 
 
 class DegreeCapError(InvSysError):
-    """A requested degree bound exceeds the ring's configured cap."""
+    """A requested degree bound exceeds the ring's configured cap, or a
+    frame, a ring's degree-1 frame included, exceeds the frame budget."""
 
 
 class NotArtinError(InvSysError):

@@ -96,6 +96,20 @@ def _next_degree(layer: list, n: int, d: int, step: Callable[[int, list], list])
     return out
 
 
+def _least(k: int, index: int) -> int:
+    """The least t >= 0 with comb(t + k, k) > ``index`` >= 0, with O(log t)
+    binomials: gallop u = t + k - 1 up from k - 1 while comb(u, k) <= index,
+    then halve the step."""
+    comb, u, step = math.comb, k - 1, 1
+    while comb(u + step, k) <= index:
+        u, step = u + step, 2 * step
+    while step > 1:
+        step //= 2
+        if comb(u + step, k) <= index:
+            u += step
+    return u + 1 - k
+
+
 class Ring:
     """Ambient context shared by all values of one computation.
 
@@ -104,14 +118,17 @@ class Ring:
     searches.  Also owns the canonical monomial enumeration, which assigns
     every monomial a global index; frames of increasing degree bound are
     prefixes of one another under this indexing.  Every monomial is ranked
-    by counting, so a polynomial of high degree does not grow the
-    enumeration.  One growth step extends the enumeration and the raise and
-    lower tables on it together, only as far as a caller asks: it builds
-    each degree's monomials from the degree below (``_next_degree``) and
-    reads both tables off positions in the order.  Both tables hold indices
-    only; a number that belongs to a monomial, such as an exponent or a!, is
-    read off its exponent tuple.  ``check_degree`` bounds every frame by the
-    degree cap and by a budget on its enumeration.
+    by counting, with one search (``_least``) for its degree and one per
+    exponent, so a polynomial of high degree, or one in many variables, does
+    not grow the enumeration.  One growth step extends the enumeration and
+    the raise and lower tables on it together, only as far as a caller
+    asks: it builds each degree's monomials from the degree below
+    (``_next_degree``) and reads both tables off positions in the order.
+    Both tables hold indices only; a number that belongs to a monomial,
+    such as an exponent or a!, is read off its exponent tuple.
+    ``check_degree`` bounds every frame by the degree cap and by a budget on
+    its enumeration, and the constructor refuses, before it allocates
+    anything, a variable count whose degree-1 frame is over that budget.
 
     Instances are immutable apart from write-once enumeration and table
     caches, and safe to share between threads.
@@ -126,8 +143,13 @@ class Ring:
     ):
         if nvars < 1:
             raise ValueError("need at least one variable")
+        if nvars + 1 > _FRAME_BUDGET:
+            raise DegreeCapError(
+                f"{_str(nvars)} variables need a frame of {_str(nvars + 1)} monomials in degree 1,"
+                f" over the frame budget {_FRAME_BUDGET}"
+            )
         if char != 0 and not _is_prime(char):
-            raise ValueError(f"characteristic must be 0 or prime, got {char}")
+            raise ValueError(f"characteristic must be 0 or prime, got {_str(char)}")
         if max_degree_cap < 1:
             raise ValueError("degree cap must be positive")
         self.nvars = nvars
@@ -240,40 +262,20 @@ class Ring:
         for k in range(n - 1, 0, -1):
             # of the monomials of degree rest in the last k + 1 variables,
             # comb(t + k - 1, k) have a first exponent above rest - t, as
-            # index_of counts; gallop t up from 0 past index, then halve the
-            # step, to the t with index in [comb(t + k - 1, k), comb(t + k, k))
-            t, step = 0, 1
-            while t + step <= rest and math.comb(t + step + k - 1, k) <= index:
-                t, step = t + step, 2 * step
-            while step > 1:
-                step //= 2
-                if t + step <= rest and math.comb(t + step + k - 1, k) <= index:
-                    t += step
+            # index_of counts, so index lies in [comb(t + k - 1, k), comb(t + k, k))
+            t = _least(k, index)
             index -= math.comb(t + k - 1, k)
             mono.append(rest - t)
             rest = t
         return tuple(mono) + (rest,)
 
     def degree_at(self, index: int) -> int:
-        """Total degree of the monomial at ``index``: the least d whose frame
-        holds more than ``index`` monomials.  ValueError if ``index`` < 0.
-
-        That d is at most r, the integer n-th root of n! * index, as
-        d^n <= d(d + 1)...(d + n - 1) = n! * frame_size(d - 1) <= n! * index.
-        And it is at least r - n // 2, as n! * frame_size(d) = (d + 1)...(d + n)
-        is at most (d + (n + 1) / 2)^n by the AM-GM inequality and exceeds
-        r^n.  Newton's method finds r from above."""
+        """Total degree of the monomial at ``index``: the least d whose frame,
+        comb(d + n, n) monomials, holds more than ``index``, which is the
+        first count of ``monomial_at``.  ValueError if ``index`` < 0."""
         if index < 0:
             raise ValueError(f"monomial index {index} is negative")
-        n = self.nvars
-        x = math.factorial(n) * index
-        r = 1 << -(-x.bit_length() // n)
-        while r and (s := ((n - 1) * r + x // r ** (n - 1)) // n) < r:
-            r = s
-        d = max(r - n // 2, 0)
-        while math.comb(n + d, n) <= index:
-            d += 1
-        return d
+        return _least(self.nvars, index)
 
     def check_degree(self, degree: int, what: str = "degree") -> None:
         """DegreeCapError unless ``degree`` is within the degree cap and its
@@ -587,7 +589,9 @@ def _int(digits: str) -> int:
 
 
 def _str(n: int) -> str:
-    """str(n) for an int n >= 0 of any size."""
+    """str(n) for an int n of any size."""
+    if n < 0:
+        return "-" + _str(-n)
     if n < _LIMIT:
         return str(n)
     low = n.bit_length() * 3 // 20  # about half of the digits of n
@@ -732,7 +736,7 @@ def gen_pol(ring: Ring, deg_min: int, deg_max: int, bound: int, seed: int) -> Po
     """
     if not 0 <= deg_min <= deg_max <= ring.max_degree_cap:
         raise ValueError(
-            f"invalid degree range {deg_min}..{deg_max} (cap {ring.max_degree_cap})"
+            f"invalid degree range {_str(deg_min)}..{_str(deg_max)} (cap {_str(ring.max_degree_cap)})"
         )
     if bound < 0:
         raise ValueError("coefficient bound must be >= 0")

@@ -197,6 +197,9 @@ def test_analyze_staircase(r3):
 def test_analyze_missing_variable_is_proven(r3):
     st = analyze_artin(ideal(r3, "x1^2+x2^3", "x2^4"))
     assert not st.artin and st.proven
+    # x2 occurs, but only beside x3: the certificate reads pure powers, not supports
+    st = analyze_artin(ideal(Ring(3, 0, max_degree_cap=6), "x1^2", "x3^2+x1^3", "x2*x3"))
+    assert not st.artin and st.proven
 
 
 def test_analyze_cap_exhaustion_is_inconclusive():

@@ -65,6 +65,10 @@ def test_frame_over_the_budget_is_one_line_and_exit_4(capsys, monkeypatch):
     monkeypatch.setattr("invsys.poly._FRAME_BUDGET", 100)
     assert invoke(capsys, "is-ag", "--vars", "3", "x1^3, x2^3, x3^3") == (
         4, "", "error: degree 6 needs a frame of 120 monomials, over the frame budget 100\n")
+    # the ring refuses a variable count whose degree-1 frame is over the budget
+    assert invoke(capsys, "is-ag", "--vars", "99", "x1") == (0, "-2\n", "")
+    assert invoke(capsys, "is-ag", "--vars", "100", "x1") == (
+        4, "", "error: 100 variables need a frame of 101 monomials in degree 1, over the frame budget 100\n")
 
 
 def test_cm_type_session(capsys):
@@ -313,6 +317,17 @@ def test_gen_pol_bound_below_2_63(capsys):
         3, "", "error: coefficient bound must be below 2^63\n")
     code, out, _ = invoke(capsys, *args, "--bound", str(2**63 - 1))
     assert code == 0 and abs(int(out)) < 2**63
+
+
+def test_integer_flags_of_any_length_print_in_full(capsys):
+    # a refused value past the int/str limit is named in full, not by the interpreter's refusal
+    assert invoke(capsys, "gen-pol", "--vars", "1", "--deg-min", LONG, "--deg-max", "0", "--bound", "1") == (
+        3, "", f"error: invalid degree range {LONG}..0 (cap 64)\n")
+    assert invoke(capsys, "is-ag", "--vars", "1", "--char", f"-{LONG}", "x1") == (
+        3, "", f"error: characteristic must be 0 or prime, got -{LONG}\n")
+    # a cap past the limit is text in the JSON diagnostics, as a long seed is
+    code, out, _ = invoke(capsys, "hilbert", "--vars", "2", "--max-degree", LONG, "--format", "json", "x1^2, x2^2")
+    assert (code, json.loads(out)["diagnostics"]["cap"]) == (0, LONG)
 
 
 def test_json_output_byte_identical(capsys):
@@ -690,9 +705,13 @@ SUBCOMMAND_USAGE = [
 LONG = "1" * 5000
 LONG_EXPONENT_COLON = ("colon", "--vars", "1", f"x1^{LONG}", "x1")
 LONG_VARIABLE_INDEX = ("is-ag", "--vars", "3", f"x{LONG}")
+LONG_MAX_DEGREE = ("hilbert", "--vars", "2", "--max-degree", LONG, "x1^2, x2^2")
+# the axis certificate answers in many variables; past the frame budget the ring is refused
+MANY_VARIABLES = ("is-ag", "--vars", "100000", "x1")
+TOO_MANY_VARIABLES = ("is-ag", "--vars", "100000000000", "x1")
 
 # one invocation per exit code 0-4, a JSON one, one whose output outgrows a
-# pipe buffer, and two whose error lines carry a number of 5000 digits
+# pipe buffer, three that carry a number of 5000 digits, and two in many variables
 ENTRY_POINT = [
     ("hilbert", "--vars", "3", CI3),
     ("inv-syst", "--vars", "3", "--format", "json", CI3),
@@ -703,6 +722,9 @@ ENTRY_POINT = [
     ("hilbert", "--vars", "2", "--max-degree", "4", "x1^2+x2^2+x1^3"),
     LONG_EXPONENT_COLON,
     LONG_VARIABLE_INDEX,
+    LONG_MAX_DEGREE,
+    MANY_VARIABLES,
+    TOO_MANY_VARIABLES,
     *TOP_LEVEL,
 ]
 
@@ -725,6 +747,12 @@ def test_entry_point_covers_every_exit_code(capsys):
     assert invoke(capsys, *LONG_EXPONENT_COLON) == (4, "", f"error: module degree {LONG} exceeds degree cap 64\n")
     assert invoke(capsys, *LONG_VARIABLE_INDEX) == (
         2, "", f"parse error: variable index {LONG} out of range 1..3 (at position 1)\n")
+    # integer flags take numbers of any length
+    assert invoke(capsys, *LONG_MAX_DEGREE) == (0, "1,2,1\n", "")
+    assert invoke(capsys, *MANY_VARIABLES) == (0, "-2\n", "")
+    assert invoke(capsys, *TOO_MANY_VARIABLES) == (4, "", (
+        "error: 100000000000 variables need a frame of 100000000001 monomials in degree 1,"
+        " over the frame budget 3000000\n"))
 
 
 @pytest.mark.parametrize("argv", TOP_LEVEL + SUBCOMMAND_USAGE + [("is-ag", "--help")], ids=_argv_id)
