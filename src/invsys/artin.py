@@ -43,14 +43,15 @@ every x_i * f kills I^perp.  So the type is dim I^perp - dim m o I^perp; A
 is level iff m o I^perp fills I^perp cap S_<=s-1, the perp of span_I(s-1);
 and the span of (I : m) at s - 1 is the perp of m o I^perp.
 
-Both actions of m are index arithmetic on the ring's tables: ``_extended``
-shifts rows by the raise table, and ``maximal_action`` lowers V's rows by
-the lower table for m o V.
+Both actions of m are index arithmetic on the ring's raise table:
+``_extended`` shifts rows by it, and ``maximal_action`` lowers V's rows for
+m o V by bisection in it.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from typing import NamedTuple, Optional
 
 from .errors import NotArtinError
@@ -62,7 +63,7 @@ from .linalg import (
     kernel_of_vectors,  # noqa: F401  unused; the benchmark's tracer looks it up here
     perp_space,
 )
-from .poly import CONT, DER, Poly, Ring, _lowered, format_poly
+from .poly import CONT, DER, Poly, Ring, _lowered, _poly, format_poly
 
 
 class ArtinStatus(NamedTuple):
@@ -167,7 +168,7 @@ def _extended(ring: Ring, ech: Echelon, gens: list[Poly], bound: int) -> tuple[E
 def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
     """Echelon of m o V for a subspace V of S, in the frame one degree lower.
 
-    Each row r is carried to every x_i o r by the ring's lower table.  A unit
+    Each row r is carried to every x_i o r by ``_lowered``.  A unit
     row e_p lowers to a nonzero multiple of a unit e_k under either action
     (the weight is an exponent, and differentiation needs characteristic 0),
     so those units are placed as rows by ``_unit_echelon`` and the other
@@ -175,8 +176,8 @@ def maximal_action(span: SubspaceBasis, action: str) -> Echelon:
     """
     ring = span.ring
     rows = span.echelon.rows
-    tables = ring.lower_table(span.bound)
-    units = {low for p, row in rows.items() if len(row) == 1 for down in tables if (low := down[p]) is not None}
+    tables, flat = ring.raise_table(span.bound - 1), ring._flat
+    units = {bisect_left(up, p) for p, row in rows.items() if len(row) == 1 for up, e in zip(tables, flat[p]) if e}
     weighted = action == DER
     vecs = [
         vec for i in range(ring.nvars) for row in rows.values() if len(row) > 1
@@ -345,7 +346,7 @@ def minimal_ideal(span: SubspaceBasis) -> IdealHandle:
     Artinianity search runs.  Candidates are the rows, then m^(B+1)'s.
     """
     ring, bound = span.ring, span.bound
-    gens = span.row_polys() + [Poly.monomial(ring, m) for m in ring.monomials_of_degree(bound + 1)]
+    gens = span.row_polys() + [_poly(ring, {k: 1}) for k in range(ring.frame_size(bound), ring.frame_size(bound + 1))]
     out = IdealHandle(ring, gens)
     out._keep(bound, span.echelon)
     out._status = ArtinStatus(True, bound, proven=True, cap=ring.max_degree_cap)

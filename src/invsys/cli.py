@@ -445,7 +445,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except MemoryError:
         pass
     # reported once the except block has ended: until then the traceback's
-    # frames hold what filled the memory, the ring's tables among it
+    # frames hold what filled the memory, the ring's table among it
     print("error: out of memory", file=sys.stderr)
     return EXIT_INCONCLUSIVE
 

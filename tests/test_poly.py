@@ -23,6 +23,7 @@ from invsys import (
     sigma,
     top_form,
 )
+from invsys.poly import _least, _lowered
 from conftest import P
 from oracle import monomials_upto
 
@@ -503,29 +504,35 @@ def test_primality_bound_is_named():
         Ring(2, 3317044064679887385961981 + 2)
 
 
-def _tables(ring, degree):
-    return ring.raise_table(degree), ring.lower_table(degree)
+def _lowerings(ring, d):
+    """Every x_i o m_k under differentiation, for m_k of degree d, each
+    lowered after the raise table is grown to d - 1."""
+    ring.raise_table(d - 1)
+    layer = range(ring.frame_size(d - 1), ring.frame_size(d))
+    return [_lowered(ring, i, {k: 1}, True) for k in layer for i in range(ring.nvars)]
 
 
 def test_ring_enumeration_grows_safely_across_threads():
     # a tiny switch interval makes threads interleave inside the first growth;
     # half the threads first ask for monomials_of_degree, which grows the
-    # frame too, and all then ask for the tables a degree at a time
+    # frame too, and all then grow the raise table a degree at a time and
+    # lower through it
     degree, trials, workers = 10, 10, 4
-    expected = _tables(Ring(4, 0), degree)
+    fresh = Ring(4, 0)
+    expected = [_lowerings(fresh, d) for d in range(degree + 2)]
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(trials):
             ring = Ring(4, 0)
             start = threading.Barrier(workers)
+            seen = [None] * workers
 
             def grow(w):
                 start.wait()
                 if w % 2:
                     monomials_upto(ring, degree)
-                for d in range(degree + 1):
-                    _tables(ring, d)
+                seen[w] = [_lowerings(ring, d) for d in range(degree + 2)]
 
             threads = [threading.Thread(target=grow, args=(w,)) for w in range(workers)]
             for t in threads:
@@ -533,18 +540,19 @@ def test_ring_enumeration_grows_safely_across_threads():
             for t in threads:
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
+            assert seen == [expected] * workers
             size = ring.frame_size(degree)
             assert len(monomials_upto(ring, degree)) == size
             assert all(ring.index_of(ring.monomial_at(k)) == k for k in range(size))
-            assert _tables(ring, degree) == expected
+            assert ring.raise_table(degree) == fresh.raise_table(degree)
     finally:
         sys.setswitchinterval(old)
 
 
-# the degrees a ring's tables are grown to, in turn, before degree 6: two
-# steps extend a table, one degree at a time starts every layer on a grown
-# one, and all at once builds every layer in one growth; the two-step cases
-# keep their bare nvars ids
+# the degrees a ring's raise table is grown to, in turn, before degree 6:
+# two steps extend a table, one degree at a time starts every layer on a
+# grown one, and all at once builds every layer in one growth; the two-step
+# cases keep their bare nvars ids
 _GROWTH = {"": (2,), "each": tuple(range(6)), "once": ()}
 
 
@@ -557,21 +565,25 @@ def test_ring_tables_match_tuple_arithmetic(nvars, steps):
     degree = 6
     ring = Ring(nvars, 0)
     for d in steps:
-        ring.lower_table(d)
-    up, down = _tables(ring, degree)
-    # the enumeration reaches one degree past the tables, and each of its
+        ring.raise_table(d)
+    up = ring.raise_table(degree)
+    # the enumeration reaches one degree past the table, and each of its
     # monomials is the one a fresh ring counts at that index
     counted = Ring(nvars, 0)
     assert ring._flat == [counted.monomial_at(k) for k in range(ring.frame_size(degree + 1))]
-    for k, m in enumerate(monomials_upto(ring, degree)):
+    # each raise list covers the frame and strictly increases, so that
+    # lowering can bisect it
+    assert all(len(row) == ring.frame_size(degree) for row in up)
+    assert all(a < b for row in up for a, b in zip(row, row[1:]))
+    for k, m in enumerate(monomials_upto(ring, degree + 1)):
         for i in range(nvars):
             e_i = tuple(int(j == i) for j in range(nvars))
-            assert ring.monomial_at(up[i][k]) == tuple(a + b for a, b in zip(m, e_i))
-            if m[i]:
-                assert type(down[i][k]) is int
-                assert ring.monomial_at(down[i][k]) == tuple(a - b for a, b in zip(m, e_i))
-            else:
-                assert down[i][k] is None
+            if k < ring.frame_size(degree):
+                assert counted.monomial_at(up[i][k]) == tuple(a + b for a, b in zip(m, e_i))
+            # lowering serves the frame one degree above the table
+            below = {counted.index_of(tuple(a - b for a, b in zip(m, e_i))): 1} if m[i] else {}
+            assert _lowered(ring, i, {k: 1}, False) == below
+            assert _lowered(ring, i, {k: 1}, True) == {j: m[i] for j in below}
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 4, 5, 10**5])
@@ -629,10 +641,24 @@ def test_malformed_monomials_are_refused():
 
 
 def test_rings_that_only_parse_and_format_build_no_tables():
-    ring = Ring(3, 0)
-    f = gen_pol(ring, 2, 4, 3, 11)
-    assert parse_poly(format_poly(f), ring) == f
-    assert (ring._raise, ring._lower) == ([[], [], []], [[], [], []])
+    # not even an empty list per variable, so 10^5 variables cost nothing
+    for nvars in (3, 10**5):
+        ring = Ring(nvars, 0)
+        f = gen_pol(ring, 2, 4, 3, 11) if nvars == 3 else parse_poly(f"x1^2*x{nvars}-3*x2+x{nvars - 1}^7", ring)
+        assert parse_poly(format_poly(f), ring) == f
+        assert ring._raise == []
+
+
+def test_reading_a_variable_back_in_many_variables_stops_at_degree_zero(monkeypatch):
+    # once the degree left is 0 every later exponent is 0: one search for the
+    # degree and one for x1's exponent, not one per variable
+    calls = []
+    monkeypatch.setattr("invsys.poly._least", lambda k, index: calls.append(k) or _least(k, index))
+    ring = Ring(10**5, 0)
+    assert format_poly(parse_poly("x1", ring)) == "x1"
+    assert len(calls) <= 2
+    mono = (0, 2, 0, 1) + (0,) * (10**5 - 4)
+    assert ring.monomial_at(ring.index_of(mono)) == mono
 
 
 def test_docstring_examples():

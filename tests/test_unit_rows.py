@@ -53,7 +53,7 @@ def actions(char):
 
 def unit_shifts(ech, ring, lower=False):
     """The coordinates x_i * m_p (or m_p / x_i) for every single-entry row
-    e_p of ech, read off monomial exponents, not the ring's tables."""
+    e_p of ech, read off monomial exponents, not the ring's table."""
     out = set()
     for p, row in ech.rows.items():
         if len(row) == 1:
